@@ -32,11 +32,6 @@ from .schemes import (
     SchemeState,
     Workspace,
     init_state,
-    recover_v,
-    step_us0,
-    step_useps,
-    step_uv,
-    step_uveps,
 )
 
 __all__ = [
@@ -58,11 +53,6 @@ __all__ = [
     "PicardError",
     "Workspace",
     "init_state",
-    "step_uv",
-    "step_uveps",
-    "step_useps",
-    "step_us0",
-    "recover_v",
     "RunRecord",
     "mass",
     "min_nodal",

@@ -38,18 +38,11 @@ def _add_config_args(sub):
     sub.add_argument("--linear-tol", dest="linear_tol", type=float)
     sub.add_argument("--output-every", dest="output_every", type=int)
     sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument(
-        "--track-re",
-        dest="track_re",
-        action="store_const",
-        const=True,
-        help="kept for config compatibility; the energy residual is always recorded",
-    )
 
 
 _CONFIG_KEYS = (
     "scheme p eps dt steps nx ny lx ly ic picard_tol picard_max linear_tol "
-    "output_every out_dir track_re".split()
+    "output_every out_dir".split()
 )
 
 

@@ -63,20 +63,40 @@ _QP4 = np.array(
 )
 
 
-def _scatter_matrix(mesh, local):
-    """Assemble (E,3,3) local blocks into a CSR matrix."""
+def _p1_pattern(mesh):
+    """Scatter plan of the P1 sparsity pattern: (slot, indices, indptr).
+
+    ``slot[9*e + 3*i + j]`` is the CSR position of the (i, j) entry of
+    element e's local block; ``indices``/``indptr`` describe the pattern
+    with sorted column indices.
+    """
     el = mesh.elements
+    n = mesh.n_nodes
     rows = np.repeat(el, 3, axis=1).ravel()
     cols = np.tile(el, (1, 3)).ravel()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return slot, (keys % n).astype(np.int32), indptr
+
+
+def _scatter_matrix(mesh, local):
+    """Assemble (E,3,3) local blocks into a CSR matrix on the P1 pattern."""
+    slot, indices, indptr = forms(mesh).pattern
+    data = np.bincount(slot, weights=local.ravel(), minlength=indices.size)
     n = mesh.n_nodes
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # the index arrays are copied: scipy may rewrite them in place
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def _scatter_vector(mesh, local):
+    """Sum (E,3) per-element vertex contributions into a nodal vector."""
+    return np.bincount(mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
 
 
 def lumped_mass_diag(mesh) -> np.ndarray:
     """Diagonal of the lumped mass matrix: sum of |K|/3 over elements at each node."""
-    d = np.zeros(mesh.n_nodes)
-    np.add.at(d, mesh.elements, (mesh.areas / 3.0)[:, None])
-    return d
+    return _scatter_vector(mesh, np.repeat((mesh.areas / 3.0)[:, None], 3, axis=1))
 
 
 def lumped_mass(mesh) -> sp.csr_matrix:
@@ -181,14 +201,15 @@ def convection_u(mesh, w, kind: str = "auto") -> sp.csr_matrix:
     if kind == "element":
         if w.shape != (mesh.n_elements, 2):
             raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")
-        wg = np.einsum("ed,eid->ei", w, mesh.grads)  # w . grad phi_i, per element
-        local = (mesh.areas / 3.0)[:, None, None] * wg[:, :, None] * np.ones((1, 1, 3))
+        wg = (mesh.grads @ w[:, :, None])[:, :, 0]  # w . grad phi_i, per element
+        rows = (mesh.areas / 3.0)[:, None] * wg
+        local = np.broadcast_to(rows[:, :, None], (mesh.n_elements, 3, 3))
     elif kind == "nodal":
         if w.shape != (mesh.n_nodes, 2):
             raise ValueError(f"expected shape {(mesh.n_nodes, 2)}, got {w.shape}")
         wloc = w[mesh.elements]  # (E,3,2)
-        mw = mesh.areas[:, None, None] * np.einsum("jm,emd->ejd", _MASS_BASE, wloc)
-        local = np.einsum("eid,ejd->eij", mesh.grads, mw)
+        mw = mesh.areas[:, None, None] * (_MASS_BASE @ wloc)
+        local = mesh.grads @ mw.transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return _scatter_matrix(mesh, local)
@@ -225,8 +246,7 @@ def project_Qh_vec(mesh, w_elem) -> np.ndarray:
     f = forms(mesh)
     out = np.empty((mesh.n_nodes, 2))
     for c in range(2):
-        rhs = np.zeros(mesh.n_nodes)
-        np.add.at(rhs, mesh.elements, (mesh.areas / 3.0 * w[:, c])[:, None])
+        rhs = _scatter_vector(mesh, np.repeat((mesh.areas / 3.0 * w[:, c])[:, None], 3, axis=1))
         out[:, c] = linsolve.solve_spd(f.M, rhs).x
     fixed = unstack_vec(sigma_fixed_mask(mesh))
     out[fixed] = 0.0
@@ -262,12 +282,12 @@ def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
     gx = np.broadcast_to(np.asarray(gx, dtype=float), x.shape)
     gy = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
     wq = mesh.areas[:, None] * _QW4[None, :]
-    rhs = np.zeros(mesh.n_nodes)
     # (v, phi_i): hat values at quadrature points are the barycentric coords
-    np.add.at(rhs, mesh.elements, np.einsum("eq,qi->ei", wq * vals, _QP4))
+    local = np.einsum("eq,qi->ei", wq * vals, _QP4)
     # (grad v, grad phi_i): hat gradients are constant per element
     gvec = np.stack([gx, gy], axis=-1)
-    np.add.at(rhs, mesh.elements, np.einsum("eq,eid,eqd->ei", wq, mesh.grads, gvec))
+    local += np.einsum("eq,eid,eqd->ei", wq, mesh.grads, gvec)
+    rhs = _scatter_vector(mesh, local)
     f = forms(mesh)
     return linsolve.solve_spd(f.A, rhs).x
 
@@ -284,10 +304,7 @@ def grad_p1(mesh, u) -> np.ndarray:
 def gradient_load(mesh, w_elem) -> np.ndarray:
     """Load vector l[i] = sum_K |K| * w_K . grad phi_i for constant w_K."""
     w = np.asarray(w_elem, dtype=float)
-    out = np.zeros(mesh.n_nodes)
-    contrib = mesh.areas[:, None] * np.einsum("ed,eid->ei", w, mesh.grads)
-    np.add.at(out, mesh.elements, contrib)
-    return out
+    return _scatter_vector(mesh, mesh.areas[:, None] * np.einsum("ed,eid->ei", w, mesh.grads))
 
 
 def weighted_gradient_load(mesh, c_elem, w_elem) -> np.ndarray:
@@ -310,23 +327,30 @@ def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
     g = np.asarray(g_elem, dtype=float)
     uloc = u[mesh.elements]
     m = mesh.areas[:, None] / 12.0 * (uloc + uloc.sum(axis=1, keepdims=True))  # M_K u
-    out = np.zeros(2 * mesh.n_nodes)
-    np.add.at(out, mesh.elements, g[:, 0:1] * m)
-    np.add.at(out, mesh.elements + mesh.n_nodes, g[:, 1:2] * m)
-    return out
+    return np.concatenate([_scatter_vector(mesh, g[:, c : c + 1] * m) for c in range(2)])
 
 
 class FormSet:
     """Lazily assembled operators for one mesh, shared across modules."""
 
     def __init__(self, mesh):
-        self._mesh = mesh
+        # held weakly: the FormSet is the value of a weak-keyed cache entry
+        # for this mesh, and a strong reference would keep that key alive
+        self._mesh = weakref.ref(mesh)
         self._cache = {}
 
     def _get(self, name, builder):
         if name not in self._cache:
-            self._cache[name] = builder(self._mesh)
+            mesh = self._mesh()
+            if mesh is None:
+                raise ReferenceError("the mesh of this FormSet has been freed")
+            self._cache[name] = builder(mesh)
         return self._cache[name]
+
+    @property
+    def pattern(self):
+        """Scatter plan of the P1 pattern shared by every scalar P1 matrix."""
+        return self._get("pattern", _p1_pattern)
 
     @property
     def D(self) -> np.ndarray:

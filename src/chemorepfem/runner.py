@@ -68,7 +68,6 @@ class RunConfig:
     linear_tol: float = 1e-12
     output_every: int = 1
     out_dir: str = "runs/out"
-    track_re: bool = False
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(
@@ -96,11 +95,10 @@ class RunConfig:
         return self
 
 
-_BOOL_KEYS = {"track_re"}
 _INT_KEYS = {"steps", "nx", "ny", "picard_max", "output_every"}
 _FLOAT_KEYS = {"p", "eps", "dt", "lx", "ly", "picard_tol", "linear_tol"}
 _STR_KEYS = {"scheme", "ic", "out_dir"}
-_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
 def parse_config_file(path) -> dict:
@@ -123,12 +121,6 @@ def _coerce(key: str, val):
         raise ConfigError(f"unknown configuration key {key!r}")
     if isinstance(val, str):
         try:
-            if key in _BOOL_KEYS:
-                if val.lower() in ("1", "true", "yes", "on"):
-                    return True
-                if val.lower() in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(val)
             if key in _INT_KEYS:
                 return int(val)
             if key in _FLOAT_KEYS:
@@ -151,8 +143,6 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
 def _format_value(val) -> str:
     if val is None:
         return "none"
-    if isinstance(val, bool):
-        return "true" if val else "false"
     if isinstance(val, float):
         return repr(val)
     return str(val)
@@ -198,7 +188,6 @@ class RunResult:
     state: SchemeState
     status: str  # ok | picard-failure | non-finite
     detail: str = ""
-    states: Optional[List[SchemeState]] = None
 
     @property
     def ok(self) -> bool:
@@ -229,7 +218,7 @@ def _record(mesh, ops, cfg, state, prev, picard_iters, solver_iters):
     return rec
 
 
-def execute_run(rc: RunConfig, collect_states: bool = False) -> RunResult:
+def execute_run(rc: RunConfig) -> RunResult:
     """Run the time loop and collect records; no filesystem side effects."""
     rc = rc.validate()
     cfg = rc.scheme_config()
@@ -238,14 +227,11 @@ def execute_run(rc: RunConfig, collect_states: bool = False) -> RunResult:
     ops = Workspace(mesh, cfg)
     state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
     records = [_record(mesh, ops, cfg, state, None, 0, 0)]
-    states = [state.copy()] if collect_states else None
     status, detail = "ok", ""
     try:
         for n in range(1, rc.steps + 1):
             prev = state
             state, report = ops.step(state)
-            if collect_states:
-                states.append(state.copy())
             if n % rc.output_every == 0 or n == rc.steps:
                 records.append(
                     _record(mesh, ops, cfg, state, prev, report.iterations, report.solver_iters)
@@ -254,7 +240,7 @@ def execute_run(rc: RunConfig, collect_states: bool = False) -> RunResult:
         status, detail = "picard-failure", str(exc)
     except NonFiniteError as exc:
         status, detail = "non-finite", str(exc)
-    return RunResult(records, state, status, detail, states)
+    return RunResult(records, state, status, detail)
 
 
 def run(rc: RunConfig) -> RunResult:

@@ -42,11 +42,6 @@ __all__ = [
     "PicardError",
     "Workspace",
     "init_state",
-    "step_uv",
-    "step_uveps",
-    "step_useps",
-    "step_us0",
-    "recover_v",
     "us0_diffusion_terms",
 ]
 
@@ -118,15 +113,6 @@ class SchemeState:
     step: int
     time: float
 
-    def copy(self) -> "SchemeState":
-        return SchemeState(
-            self.u.copy(),
-            self.v.copy() if self.v is not None else None,
-            self.sigma.copy() if self.sigma is not None else None,
-            self.step,
-            self.time,
-        )
-
 
 @dataclass(frozen=True)
 class PicardReport:
@@ -187,11 +173,8 @@ def _anderson_mix(u, f, d_u, d_f, beta):
 
 
 class Workspace:
-    """Per-(mesh, config) operator cache and stepping engine.
-
-    The module-level ``step_*``/``recover_v`` functions build one of these
-    on the fly; drivers that take many steps should construct it once.
-    """
+    """Per-(mesh, config) operator cache and stepping engine: build it
+    once and call :meth:`step` for every step."""
 
     def __init__(self, mesh, cfg: SchemeConfig):
         self.mesh = mesh
@@ -235,15 +218,17 @@ class Workspace:
         full[free] = res.x
         return fem.unstack_vec(full), res.iterations
 
-    def _recover(self, u_new, v_prev, mode: str, x0=None):
+    def _recover(self, u_new, v_prev, x0=None):
+        """Chemical of a sigma scheme: one screened heat solve with the
+        scheme's production load, from the new density and previous v."""
         cfg = self.cfg
         k = cfg.dt
-        if mode == "useps":
+        if cfg.scheme == "useps":
             load = cfg.p * (cfg.p - 1.0) * fem.lumped_load(self.mesh, self.pot.f_value(u_new))
-        elif mode == "us0":
+        elif cfg.scheme == "us0":
             load = fem.lumped_load(self.mesh, np.power(_pos(u_new), cfg.p))
         else:
-            raise ValueError(f"unknown recovery mode {mode!r}")
+            raise ValueError(f"scheme {cfg.scheme!r} carries v itself; nothing to recover")
         rhs = (self.fs.M @ v_prev) / k + load
         return linsolve.solve_spd(self.A_v, rhs, self.lin, x0=x0)
 
@@ -380,7 +365,7 @@ class Workspace:
             raise PicardError(cfg.scheme, state.step + 1, report, bad)
         new = self._pack(state, ul, wl)
         if vec:
-            rec = self._recover(new.u, state.v, mode=cfg.scheme, x0=state.v)
+            rec = self._recover(new.u, state.v, x0=state.v)
             new.v = rec.x
             max_solver = max(max_solver, rec.iterations)
         return new, PicardReport(it, change, max_solver)
@@ -408,42 +393,3 @@ def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0=None) -> SchemeState:
     if cfg.uses_sigma:
         sigma = fem.project_Qh_vec(mesh, fem.grad_p1(mesh, v_h))
     return SchemeState(u_h, v_h, sigma, 0, 0.0)
-
-
-def _dispatch(mesh, cfg, state, ops, expected):
-    if cfg.scheme != expected:
-        raise ValueError(f"config selects scheme {cfg.scheme!r}, expected {expected!r}")
-    return ops if ops is not None else Workspace(mesh, cfg)
-
-
-def step_uv(mesh, cfg, state, ops=None):
-    """One step of the plain backward-Euler scheme."""
-    return _dispatch(mesh, cfg, state, ops, "uv").step(state)
-
-
-def step_uveps(mesh, cfg, state, ops=None):
-    """One step of the regularized (u, v) scheme."""
-    return _dispatch(mesh, cfg, state, ops, "uveps").step(state)
-
-
-def step_useps(mesh, cfg, state, ops=None):
-    """One step of the regularized (u, sigma) scheme."""
-    return _dispatch(mesh, cfg, state, ops, "useps").step(state)
-
-
-def step_us0(mesh, cfg, state, ops=None):
-    """One step of the unregularized (u, sigma) scheme."""
-    return _dispatch(mesh, cfg, state, ops, "us0").step(state)
-
-
-def recover_v(mesh, cfg, state, mode=None, ops=None) -> np.ndarray:
-    """Recover the chemical from a sigma-scheme state.
-
-    ``state.u`` is the new density and ``state.v`` the chemical of the
-    previous step; one SPD solve of the screened heat equation with the
-    mode's production load ('useps': regularized potential, 'us0': plain
-    positive-part power) returns the new chemical.
-    """
-    ops = ops if ops is not None else Workspace(mesh, cfg)
-    mode = mode or cfg.scheme
-    return ops._recover(state.u, state.v, mode=mode, x0=state.v).x

@@ -1,11 +1,14 @@
 """Assembly and projection operators against symbolic and dense oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
 
-from chemorepfem import build_rect_mesh
+from chemorepfem import SchemeConfig, Workspace, build_rect_mesh
 from chemorepfem import fem
 
 
@@ -390,3 +393,67 @@ def test_ambiguous_convection_shape_raises():
         fem.convection_u(m, w, kind="auto")
     fem.convection_u(m, w, kind="element")
     fem.convection_u(m, w, kind="nodal")
+
+
+def coo_assembly(mesh, local):
+    """Reference assembly of (E,3,3) local blocks through COO -> CSR."""
+    el = mesh.elements
+    rows = np.repeat(el, 3, axis=1).ravel()
+    cols = np.tile(el, (1, 3)).ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def assert_same_matrix(a, ref):
+    assert a.shape == ref.shape
+    assert abs(a - ref).max() <= 1e-15 * abs(ref).max()
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 3), (2, 3)])  # 2x3: N = E = 12
+def test_scatter_plan_matches_coo_assembly(nx, ny):
+    m = build_rect_mesh(nx, ny, 2.0, 3.0)
+    rng = np.random.default_rng(43)
+    local = rng.normal(size=(m.n_elements, 3, 3))
+    assert_same_matrix(fem._scatter_matrix(m, local), coo_assembly(m, local))
+
+    w = rng.normal(size=(m.n_nodes, 2))
+    mw = m.areas[:, None, None] * np.einsum("jm,emd->ejd", fem._MASS_BASE, w[m.elements])
+    ref = coo_assembly(m, np.einsum("eid,ejd->eij", m.grads, mw))
+    assert_same_matrix(fem.convection_u(m, w, kind="nodal"), ref)
+
+    w = rng.normal(size=(m.n_elements, 2))
+    wg = np.einsum("ed,eid->ei", w, m.grads)
+    ref = coo_assembly(m, (m.areas / 3.0)[:, None, None] * wg[:, :, None] * np.ones((1, 1, 3)))
+    assert_same_matrix(fem.convection_u(m, w, kind="element"), ref)
+
+
+def test_loads_match_add_at_reference():
+    m = build_rect_mesh(5, 3, 2.0, 3.0)
+    rng = np.random.default_rng(47)
+    w = rng.normal(size=(m.n_elements, 2))
+    ref = np.zeros(m.n_nodes)
+    np.add.at(ref, m.elements, m.areas[:, None] * np.einsum("ed,eid->ei", w, m.grads))
+    assert np.array_equal(fem.gradient_load(m, w), ref)
+
+    u = rng.normal(size=m.n_nodes)
+    uloc = u[m.elements]
+    mu = m.areas[:, None] / 12.0 * (uloc + uloc.sum(axis=1, keepdims=True))
+    ref = np.zeros(2 * m.n_nodes)
+    np.add.at(ref, m.elements, w[:, 0:1] * mu)
+    np.add.at(ref, m.elements + m.n_nodes, w[:, 1:2] * mu)
+    assert np.array_equal(fem.mixed_vector_load(m, u, w), ref)
+
+
+def test_forms_cache_frees_its_mesh():
+    mesh = build_rect_mesh(4, 4, 2.0, 2.0)
+    ws = Workspace(mesh, SchemeConfig("useps", p=1.5, dt=1e-2, eps=1e-2))
+    assert fem._FORMS[mesh] is ws.fs and ws.fs.pattern is not None
+    mesh_ref, forms_ref = weakref.ref(mesh), weakref.ref(ws.fs)
+    del mesh, ws
+    gc.collect()
+    assert mesh_ref() is None
+    assert forms_ref() is None  # the cache entry went with its mesh
+    orphan = fem.forms(build_rect_mesh(2, 2, 1.0, 1.0))
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        orphan.M

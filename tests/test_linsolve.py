@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chemorepfem import SolverConfig, SolverError, solve_general, solve_spd
 
@@ -100,3 +101,19 @@ def test_nonconvergence_raises_with_residual():
 
     with pytest.raises(SolverError):
         solve_general(a, b, SolverConfig(rel_tol=1e-14, max_iter=1))
+
+
+def test_general_solve_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
+    def failing_spilu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    rng = np.random.default_rng(5)
+    n = 40
+    # diagonally dominant with a skew part, as the u-equation
+    q = rng.normal(size=(n, n))
+    a = sp.csr_matrix(q - q.T + 4.0 * n * np.eye(n))
+    b = rng.normal(size=n)
+    res = solve_general(a, b, SolverConfig(rel_tol=1e-12))
+    assert np.linalg.norm(b - a @ res.x) <= 1e-12 * np.linalg.norm(b)
+    assert res.iterations >= 1

@@ -14,11 +14,6 @@ from chemorepfem import (
     get_preset,
     init_state,
     mass,
-    recover_v,
-    step_us0,
-    step_useps,
-    step_uv,
-    step_uveps,
 )
 from chemorepfem._oracle import DenseOracle
 from chemorepfem.diagnostics import mean_v_balance
@@ -127,10 +122,10 @@ def test_recover_v_decay_for_zero_density():
     state = SchemeState(
         u=np.zeros(mesh.n_nodes), v=np.full(mesh.n_nodes, 3.0), sigma=None, step=1, time=0.5
     )
-    v1 = recover_v(mesh, cfg, state, ops=ops)
+    v1 = ops._recover(state.u, state.v, x0=state.v).x
     assert v1 == pytest.approx(np.full(mesh.n_nodes, 3.0 / 1.5), rel=1e-12)
     # determinism: identical inputs give bitwise-identical solves
-    v2 = recover_v(mesh, cfg, state, ops=ops)
+    v2 = ops._recover(state.u, state.v, x0=state.v).x
     assert np.array_equal(v1, v2)
 
 
@@ -276,22 +271,15 @@ def test_anderson_mix_solves_affine_map_and_drops_dependent_columns():
     assert len(d_u) == len(d_f) == 1
 
 
-def test_step_wrappers_check_scheme_and_advance():
+def test_workspace_step_advances_every_scheme():
     mesh = build_rect_mesh(4, 4, 2.0, 2.0)
     pre = get_preset("constant:2:1")
-    for fn, scheme, eps in (
-        (step_uv, "uv", None),
-        (step_uveps, "uveps", 1e-2),
-        (step_useps, "useps", 1e-2),
-        (step_us0, "us0", None),
-    ):
+    for scheme, eps in (("uv", None), ("uveps", 1e-2), ("useps", 1e-2), ("us0", None)):
         cfg = make(scheme, eps=eps, dt=0.1)
         st = init_state(mesh, cfg, pre.u0, pre.v0, pre.grad_v0)
-        new, rep = fn(mesh, cfg, st)
+        new, rep = Workspace(mesh, cfg).step(st)
         assert new.step == 1 and new.time == pytest.approx(0.1)
         assert rep.iterations >= 1
-        with pytest.raises(ValueError):
-            fn(mesh, make("uv" if scheme != "uv" else "us0"), st)
 
 
 def test_step_determinism():
