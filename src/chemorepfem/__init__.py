@@ -21,7 +21,7 @@ from .diagnostics import (
     residual_RE,
 )
 from .linsolve import SolveResult, SolverConfig, SolverError, solve_general, solve_spd
-from .mesh import StructuredTriMesh, build_rect_mesh, element_geometry
+from .mesh import StructuredTriMesh, build_rect_mesh
 from .presets import ICPreset, get_preset
 from .regularization import RegularizedPotential
 from .schemes import (
@@ -38,7 +38,6 @@ __all__ = [
     "RegularizedPotential",
     "StructuredTriMesh",
     "build_rect_mesh",
-    "element_geometry",
     "SolverConfig",
     "SolveResult",
     "SolverError",

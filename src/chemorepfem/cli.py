@@ -1,7 +1,7 @@
 """Command-line interface: run, sweep, verify, dump.
 
-Exit codes: 0 success, 1 verification failure, 2 non-convergence or
-non-finite values, 3 bad configuration.
+Exit codes: 0 success, 1 verification failure, 2 non-convergence (Picard
+or linear solver) or non-finite values, 3 bad configuration.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import csv
 import sys
 
 from . import runner, verification, vtkio
+from .linsolve import SolverError
 from .mesh import build_rect_mesh
 from .presets import get_preset
 from .schemes import PicardError, Workspace, init_state
@@ -110,7 +111,7 @@ def _cmd_dump(args) -> int:
     try:
         for _ in range(n_steps):
             state, _ = ops.step(state)
-    except PicardError as exc:
+    except (PicardError, SolverError) as exc:
         print(f"dump: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     which = tuple(args.fields.split(",")) if args.fields else ("u", "v", "sigma")
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     except runner.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (PicardError, runner.NonFiniteError) as exc:
+    except (PicardError, SolverError, runner.NonFiniteError) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -21,7 +21,6 @@ from . import linsolve
 from .mesh import CORNER, EDGE_X, EDGE_Y, StructuredTriMesh
 
 __all__ = [
-    "lumped_mass",
     "lumped_mass_diag",
     "consistent_mass",
     "stiffness",
@@ -99,11 +98,6 @@ def lumped_mass_diag(mesh) -> np.ndarray:
     return _scatter_vector(mesh, np.repeat((mesh.areas / 3.0)[:, None], 3, axis=1))
 
 
-def lumped_mass(mesh) -> sp.csr_matrix:
-    """Lumped (vertex-quadrature) mass matrix; trace equals the domain area."""
-    return sp.diags(lumped_mass_diag(mesh)).tocsr()
-
-
 def consistent_mass(mesh) -> sp.csr_matrix:
     """Exact P1 mass matrix; row sums reproduce the lumped diagonal."""
     local = mesh.areas[:, None, None] * _MASS_BASE
@@ -179,25 +173,16 @@ def unstack_vec(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x[:n], x[n:]])
 
 
-def convection_u(mesh, w, kind: str = "auto") -> sp.csr_matrix:
+def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
     """Matrix C with C[i, j] = integral of phi_j * (w . grad phi_i).
 
-    ``w`` is either per-element constant vectors (shape (n_elements, 2),
-    e.g. the gradient of a P1 scalar) or a nodal P1 vector field
-    ((n_nodes, 2)); ``kind`` in {"auto", "element", "nodal"} disambiguates
-    when the two shapes coincide.  Integration is exact in both cases.
-    Column sums vanish, which is what conserves mass under testing by 1.
+    ``kind`` names the layout of ``w``: "element" for per-element constant
+    vectors (shape (n_elements, 2), e.g. the gradient of a P1 scalar),
+    "nodal" for a nodal P1 vector field (shape (n_nodes, 2)).  Integration
+    is exact in both cases.  Column sums vanish, which is what conserves
+    mass under testing by 1.
     """
     w = np.asarray(w, dtype=float)
-    if kind == "auto":
-        if w.shape == (mesh.n_elements, 2) and w.shape == (mesh.n_nodes, 2):
-            raise ValueError("ambiguous field shape; pass kind='element' or 'nodal'")
-        if w.shape == (mesh.n_elements, 2):
-            kind = "element"
-        elif w.shape == (mesh.n_nodes, 2):
-            kind = "nodal"
-        else:
-            raise ValueError(f"field shape {w.shape} matches neither elements nor nodes")
     if kind == "element":
         if w.shape != (mesh.n_elements, 2):
             raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")
@@ -393,11 +378,6 @@ class FormSet:
         """Consistent L2 norm of a (N,2) vector field."""
         x = stack_vec(np.asarray(w, dtype=float))
         return float(np.sqrt(max(x @ (self.M2 @ x), 0.0)))
-
-    def h_norm(self, u) -> float:
-        """Lumped (mass-lumping) norm |u|_h."""
-        u = np.asarray(u, dtype=float)
-        return float(np.sqrt(max(self.D @ (u * u), 0.0)))
 
 
 _FORMS: "weakref.WeakKeyDictionary[StructuredTriMesh, FormSet]" = weakref.WeakKeyDictionary()

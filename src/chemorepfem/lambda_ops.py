@@ -25,22 +25,25 @@ __all__ = ["lambda1", "lambda2", "EQUAL_VALUES_TOL"]
 EQUAL_VALUES_TOL = 1e-12
 
 
-def _leg_values(pot, mesh, u, quotient, limit):
-    # leading batch axes allowed: (..., n_nodes) -> (..., n_elements, 2)
-    u = np.asarray(u, dtype=float)
+def _leg_values(mesh, u, fp, num, scale, lim):
+    """Leg entries scale * (num_i - num_0) / (fp_i - fp_0), or lim_0 where
+    u_i and u_0 coincide, from per-node values gathered per element.
+
+    The potential acts node by node, so evaluating it once per node and
+    gathering gives what evaluating it at both ends of every leg gives.
+    Leading batch axes allowed: (..., n_nodes) -> (..., n_elements, 2).
+    """
     el = mesh.elements
-    u0 = u[..., el[:, 0]]
+    u0, fp0, num0, lim0 = (a[..., el[:, 0]] for a in (u, fp, num, lim))
     out = np.empty(u.shape[:-1] + (mesh.n_elements, 2))
-    lim = limit(u0)
     rows = np.arange(mesh.n_elements)
     for leg in (1, 2):
-        ui = u[..., el[:, leg]]
-        du = ui - u0
+        nodes = el[:, leg]
+        du = u[..., nodes] - u0
         use_quot = np.abs(du) > EQUAL_VALUES_TOL * np.maximum(1.0, np.abs(u0))
         # f_prime is strictly increasing, so the denominator only vanishes with du
-        denom = pot.f_prime(ui) - pot.f_prime(u0)
-        safe = np.where(use_quot, denom, 1.0)
-        vals = np.where(use_quot, quotient(u0, ui, du, safe), lim)
+        safe = np.where(use_quot, fp[..., nodes] - fp0, 1.0)
+        vals = np.where(use_quot, scale * (num[..., nodes] - num0) / safe, lim0)
         out[..., rows, mesh.leg_axis[:, leg - 1]] = vals
     return out
 
@@ -52,13 +55,8 @@ def lambda1(pot, mesh, u) -> np.ndarray:
     1 / f_second(u_0) when the nodal values coincide.  Eigenvalues of the
     inverse lie in [eps**(2-p), eps**(p-2)].
     """
-    return _leg_values(
-        pot,
-        mesh,
-        u,
-        quotient=lambda u0, ui, du, df: du / df,
-        limit=lambda u0: 1.0 / pot.f_second(u0),
-    )
+    u = np.asarray(u, dtype=float)
+    return _leg_values(mesh, u, pot.f_prime(u), u, 1.0, 1.0 / pot.f_second(u))
 
 
 def lambda2(pot, mesh, u) -> np.ndarray:
@@ -68,11 +66,5 @@ def lambda2(pot, mesh, u) -> np.ndarray:
     Leg entry: (p-1) (f_value(u_i) - f_value(u_0)) / (f_prime(u_i) -
     f_prime(u_0)), or the mobility a_eps(u_0) when the values coincide.
     """
-    p = pot.p
-    return _leg_values(
-        pot,
-        mesh,
-        u,
-        quotient=lambda u0, ui, du, df: (p - 1.0) * (pot.f_value(ui) - pot.f_value(u0)) / df,
-        limit=pot.a_eps,
-    )
+    u = np.asarray(u, dtype=float)
+    return _leg_values(mesh, u, pot.f_prime(u), pot.f_value(u), pot.p - 1.0, pot.a_eps(u))

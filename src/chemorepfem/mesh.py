@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "StructuredTriMesh",
     "build_rect_mesh",
-    "element_geometry",
     "INTERIOR",
     "EDGE_X",
     "EDGE_Y",
@@ -142,10 +141,3 @@ class StructuredTriMesh:
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float) -> StructuredTriMesh:
     """Build the structured right-triangle mesh of [0,lx] x [0,ly]."""
     return StructuredTriMesh(nx, ny, lx, ly)
-
-
-def element_geometry(mesh: StructuredTriMesh, e: int):
-    """Area and the three constant hat-function gradients of element e."""
-    if not 0 <= e < mesh.n_elements:
-        raise IndexError(f"element index {e} out of range [0, {mesh.n_elements})")
-    return float(mesh.areas[e]), mesh.grads[e].copy()

