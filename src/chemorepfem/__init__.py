@@ -20,7 +20,7 @@ from .diagnostics import (
     neg_part_l2,
     residual_RE,
 )
-from .linsolve import SolveResult, SolverConfig, SolverError, solve_general, solve_spd
+from .linsolve import SolveResult, SolverError, solve_general, solve_spd
 from .mesh import StructuredTriMesh, build_rect_mesh
 from .presets import ICPreset, get_preset
 from .regularization import RegularizedPotential
@@ -38,7 +38,6 @@ __all__ = [
     "RegularizedPotential",
     "StructuredTriMesh",
     "build_rect_mesh",
-    "SolverConfig",
     "SolveResult",
     "SolverError",
     "solve_spd",

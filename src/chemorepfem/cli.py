@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
 from . import runner, verification, vtkio
 from .linsolve import SolverError
 from .mesh import build_rect_mesh
 from .presets import get_preset
-from .schemes import PicardError, Workspace, init_state
+from .schemes import SCHEMES, PicardError, Workspace, init_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -24,7 +25,7 @@ EXIT_BAD_CONFIG = 3
 
 def _add_config_args(sub):
     sub.add_argument("--config", help="flat 'key = value' configuration file")
-    sub.add_argument("--scheme", choices=["uv", "uveps", "useps", "us0"])
+    sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--p", type=float, help="production exponent, 1 < p < 2")
     sub.add_argument("--eps", type=float, help="regularization parameter (uveps/useps)")
     sub.add_argument("--dt", type=float, help="time step")
@@ -41,15 +42,9 @@ def _add_config_args(sub):
     sub.add_argument("--out", dest="out_dir", help="output directory")
 
 
-_CONFIG_KEYS = (
-    "scheme p eps dt steps nx ny lx ly ic picard_tol picard_max linear_tol "
-    "output_every out_dir".split()
-)
-
-
 def _resolve(args) -> runner.RunConfig:
     file_values = runner.parse_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(runner.RunConfig)}
     return runner.resolve_config(file_values, overrides)
 
 

@@ -32,10 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One completed step's tracked quantities (residual_RE is None at step 0)."""
+    """One completed step's tracked quantities; the fields are the
+    ``series.csv`` columns, in order (residual_RE is None at step 0)."""
 
     step: int
-    time: float
+    t: float
     mass: float
     energy_modified: float
     energy_exact: float
@@ -43,7 +44,7 @@ class RunRecord:
     min_u: float
     min_v: float
     picard_iters: int
-    max_solver_iters: int
+    solver_iters: int  # max iterations over the step's linear solves
 
 
 def mass(mesh, u) -> float:
@@ -51,9 +52,8 @@ def mass(mesh, u) -> float:
     return float(fem.forms(mesh).D @ np.asarray(u, dtype=float))
 
 
-def mean_v(mesh, v) -> float:
-    """Integral of a P1 field (exact)."""
-    return float(fem.forms(mesh).D @ np.asarray(v, dtype=float))
+# the lumped mass integrates every P1 field exactly, v included
+mean_v = mass
 
 
 def min_nodal(field) -> float:
@@ -200,7 +200,7 @@ def mean_v_balance(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: Scheme
     """Residual of the mean balance d_t(int v) + int v - production = 0."""
     k = cfg.dt
     fs = fem.forms(mesh)
-    if cfg.scheme in ("uveps", "useps"):
+    if cfg.needs_eps:
         production = cfg.p * (cfg.p - 1.0) * float(fs.D @ pot.f_value(curr.u))
     else:
         production = float(fs.D @ np.power(np.maximum(curr.u, 0.0), cfg.p))

@@ -31,21 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolverConfig", "SolveResult", "SolverError", "solve_spd", "solve_general"]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Relative residual tolerance and iteration cap (default 10 * n)."""
-
-    rel_tol: float = 1e-12
-    max_iter: int | None = None
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+__all__ = ["SolveResult", "SolverError", "solve_spd", "solve_general"]
 
 
 @dataclass(frozen=True)
@@ -74,11 +60,10 @@ def _jacobi(A):
     return 1.0 / np.where(d != 0.0, d, 1.0)
 
 
-def _prepare(A, b, cfg):
-    cfg = cfg or SolverConfig()
+def _prepare(b):
+    """The right-hand side as floats, the iteration cap 10 * n, and ||b||."""
     b = np.asarray(b, dtype=float)
-    maxiter = cfg.max_iter if cfg.max_iter is not None else 10 * b.size
-    return cfg, b, maxiter, float(np.linalg.norm(b))
+    return b, 10 * b.size, float(np.linalg.norm(b))
 
 
 def _residual(A, x, b) -> float:
@@ -162,12 +147,12 @@ def _bicgstab(A, b, x0, psolve, atol, maxiter):
     return x, maxiter, maxiter
 
 
-def solve_spd(A, b, cfg: SolverConfig | None = None, x0=None) -> SolveResult:
+def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     """Jacobi-preconditioned conjugate gradients for SPD systems."""
-    cfg, b, maxiter, bnorm = _prepare(A, b, cfg)
+    b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
-    atol = cfg.rel_tol * bnorm
+    atol = rel_tol * bnorm
     dinv = _jacobi(A)
     x, info, iters = _cg(A, b, x0, dinv, atol, maxiter)
     res = _residual(A, x, b)
@@ -203,13 +188,13 @@ def _ilu(A):
         return lambda r: dinv * r
 
 
-def solve_general(A, b, cfg: SolverConfig | None = None, x0=None) -> SolveResult:
+def solve_general(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     """ILU-preconditioned BiCGStab; on breakdown restarts once from the
     current iterate, then errors out."""
-    cfg, b, maxiter, bnorm = _prepare(A, b, cfg)
+    b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
-    atol = cfg.rel_tol * bnorm
+    atol = rel_tol * bnorm
     psolve = _ilu(A)
     x, info, iters = _bicgstab(A, b, x0, psolve, atol, maxiter)
     if info != 0:

@@ -92,7 +92,7 @@ def get_preset(name: str) -> ICPreset:
             cu, cv = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ValueError(f"bad constant preset values in {name!r}") from exc
-        if cu < 0 or cv < 0:
-            raise ValueError(f"constant preset values must be nonnegative, got {name!r}")
+        if not (0.0 <= cu < np.inf and 0.0 <= cv < np.inf):
+            raise ValueError(f"constant preset values must be finite and nonnegative, got {name!r}")
         return _constant(cu, cv)
     raise ValueError(f"unknown initial-condition preset {name!r}; known: {PRESET_NAMES}")

@@ -9,11 +9,12 @@ combination next to a ``manifest.csv`` index.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import product
-from typing import List, Optional
+from typing import List, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -36,10 +37,7 @@ __all__ = [
     "SERIES_HEADER",
 ]
 
-SERIES_HEADER = (
-    "step,t,mass,energy_modified,energy_exact,residual_RE,min_u,min_v,"
-    "picard_iters,solver_iters"
-)
+SERIES_HEADER = ",".join(f.name for f in fields(diagnostics.RunRecord))
 
 
 class ConfigError(ValueError):
@@ -71,23 +69,16 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(
-            scheme=self.scheme,
-            p=self.p,
-            dt=self.dt,
-            eps=self.eps,
-            picard_tol=self.picard_tol,
-            picard_max=self.picard_max,
-            linear_tol=self.linear_tol,
-        )
+        return SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(SchemeConfig)})
 
     def validate(self) -> "RunConfig":
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
-        if self.nx < 1 or self.ny < 1 or self.lx <= 0 or self.ly <= 0:
-            raise ConfigError("mesh parameters must be positive")
+        finite_sides = 0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf
+        if self.nx < 1 or self.ny < 1 or not finite_sides:
+            raise ConfigError("mesh parameters must be positive and finite")
         try:
             self.scheme_config()
             get_preset(self.ic)
@@ -96,10 +87,8 @@ class RunConfig:
         return self
 
 
-_INT_KEYS = {"steps", "nx", "ny", "picard_max", "output_every"}
-_FLOAT_KEYS = {"p", "eps", "dt", "lx", "ly", "picard_tol", "linear_tol"}
-_STR_KEYS = {"scheme", "ic", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# every configuration key with its declared type
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config_file(path) -> dict:
@@ -118,17 +107,22 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, val):
-    if key not in _ALL_KEYS:
+    """A text value converted to the key's declared type; 'none' is None,
+    which only an Optional key accepts."""
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown configuration key {key!r}")
-    if isinstance(val, str):
-        try:
-            if key in _INT_KEYS:
-                return int(val)
-            if key in _FLOAT_KEYS:
-                return None if val.lower() == "none" else float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {val!r}") from exc
-    return val
+    if not isinstance(val, str):
+        return val
+    # Optional[X] has the arguments (X, NoneType), a plain type none
+    kind, *optional = get_args(_KEY_TYPES[key]) or (_KEY_TYPES[key],)
+    if val.lower() == "none":
+        if optional:
+            return None
+        raise ConfigError(f"{key} does not take none")
+    try:
+        return kind(val)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {val!r}") from exc
 
 
 def resolve_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
@@ -164,23 +158,7 @@ def write_series(path, records: List[diagnostics.RunRecord]):
     with open(path, "w", newline="") as fp:
         fp.write(SERIES_HEADER + "\n")
         for r in records:
-            fp.write(
-                ",".join(
-                    [
-                        str(r.step),
-                        repr(r.time),
-                        repr(r.mass),
-                        repr(r.energy_modified),
-                        repr(r.energy_exact),
-                        _fmt(r.residual_RE),
-                        repr(r.min_u),
-                        repr(r.min_v),
-                        str(r.picard_iters),
-                        str(r.max_solver_iters),
-                    ]
-                )
-                + "\n"
-            )
+            fp.write(",".join(map(_fmt, astuple(r))) + "\n")
 
 
 @dataclass
@@ -201,7 +179,7 @@ def _record(mesh, ops, cfg, state, prev, picard_iters, solver_iters):
         re_val = diagnostics.residual_RE(mesh, cfg, (prev.u, prev.v), (state.u, state.v))
     rec = diagnostics.RunRecord(
         step=state.step,
-        time=state.time,
+        t=state.time,
         mass=diagnostics.mass(mesh, state.u),
         energy_modified=diagnostics.energy_modified(mesh, ops.pot, cfg, state),
         energy_exact=diagnostics.energy_exact(mesh, cfg, state.u, state.v),
@@ -209,7 +187,7 @@ def _record(mesh, ops, cfg, state, prev, picard_iters, solver_iters):
         min_u=diagnostics.min_nodal(state.u),
         min_v=diagnostics.min_nodal(state.v),
         picard_iters=picard_iters,
-        max_solver_iters=solver_iters,
+        solver_iters=solver_iters,
     )
     values = [rec.mass, rec.energy_modified, rec.energy_exact, rec.min_u, rec.min_v]
     if re_val is not None:
@@ -288,7 +266,7 @@ def sweep(
     os.makedirs(out_dir, exist_ok=True)
     combos = []
     for scheme, p, eps in product(schemes, ps, epss):
-        use_eps = eps if scheme in ("uveps", "useps") else None
+        use_eps = eps if SchemeConfig.takes_eps(scheme) else None
         name = f"{scheme}_p{p:g}_eps{_eps_tag(use_eps)}"
         rc = replace(base, scheme=scheme, p=p, eps=use_eps, out_dir=os.path.join(out_dir, name))
         rc.validate()

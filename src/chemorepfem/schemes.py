@@ -23,6 +23,7 @@ the lumped mass (u, 1)^h exactly up to linear-solver residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,29 +71,35 @@ class SchemeConfig:
     eps: Optional[float] = None
     picard_tol: float = 1e-3
     picard_max: int = 200
-    linear_tol: float = 1e-12
-    linear_max: Optional[int] = None
+    linear_tol: float = 1e-12  # relative residual of every linear solve
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not 1.0 < self.p < 2.0:
             raise ValueError(f"production exponent must satisfy 1 < p < 2, got {self.p}")
-        if not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.dt}")
         if self.needs_eps:
             if self.eps is None:
                 raise ValueError(f"scheme {self.scheme!r} requires eps")
             if not 0.0 < self.eps < 1.0:
                 raise ValueError(f"eps must satisfy 0 < eps < 1, got {self.eps}")
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be positive and finite, got {self.picard_tol}")
         if self.picard_max < 1:
             raise ValueError("picard_max must be >= 1")
+        if not 0.0 < self.linear_tol < math.inf:
+            raise ValueError(f"linear_tol must be positive and finite, got {self.linear_tol}")
+
+    @staticmethod
+    def takes_eps(scheme: str) -> bool:
+        """Whether ``scheme`` is regularized, and so requires eps."""
+        return scheme in ("uveps", "useps")
 
     @property
     def needs_eps(self) -> bool:
-        return self.scheme in ("uveps", "useps")
+        return self.takes_eps(self.scheme)
 
     @property
     def uses_sigma(self) -> bool:
@@ -181,7 +188,6 @@ class Workspace:
         self.cfg = cfg
         self.fs = fem.forms(mesh)
         self.pot = RegularizedPotential(cfg.p, cfg.eps) if cfg.needs_eps else None
-        self.lin = linsolve.SolverConfig(cfg.linear_tol, cfg.linear_max)
         k = cfg.dt
         fs = self.fs
         # v-equation operator (also the recovery operator): M/k + S + M
@@ -213,7 +219,7 @@ class Workspace:
     def _solve_sigma(self, rhs_full, sigma_guess):
         free = self.fs.sigma_free
         x0 = fem.stack_vec(sigma_guess)[free]
-        res = linsolve.solve_spd(self.A_sig_red, rhs_full[free], self.lin, x0=x0)
+        res = linsolve.solve_spd(self.A_sig_red, rhs_full[free], self.cfg.linear_tol, x0=x0)
         full = np.zeros(2 * self.mesh.n_nodes)
         full[free] = res.x
         return fem.unstack_vec(full), res.iterations
@@ -230,7 +236,7 @@ class Workspace:
         else:
             raise ValueError(f"scheme {cfg.scheme!r} carries v itself; nothing to recover")
         rhs = (self.fs.M @ v_prev) / k + load
-        return linsolve.solve_spd(self.A_v, rhs, self.lin, x0=x0)
+        return linsolve.solve_spd(self.A_v, rhs, self.cfg.linear_tol, x0=x0)
 
     # -- Picard half-iterates: u-solve with frozen data, then v/sigma-solve ----
 
@@ -238,7 +244,7 @@ class Workspace:
         r = linsolve.solve_general(
             self.A_u + fem.convection_u(self.mesh, fem.grad_p1(self.mesh, vl), kind="element"),
             (self.fs.M @ state.u) / self.cfg.dt,
-            self.lin,
+            self.cfg.linear_tol,
             x0=ul,
         )
         return r.x, r.iterations
@@ -246,14 +252,14 @@ class Workspace:
     def _wsolve_uv(self, state, u_new, vl):
         load = fem.lumped_load(self.mesh, np.power(_pos(u_new), self.cfg.p))
         r = linsolve.solve_spd(
-            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.lin, x0=vl
+            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
         )
         return r.x, r.iterations
 
     def _usolve_uveps(self, state, ul, vl):
         w = lambda2(self.pot, self.mesh, ul) * fem.grad_p1(self.mesh, vl)
         rhs = self.fs.D * state.u / self.cfg.dt - fem.gradient_load(self.mesh, w)
-        r = linsolve.solve_spd(self.A_u, rhs, self.lin, x0=ul)
+        r = linsolve.solve_spd(self.A_u, rhs, self.cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
     def _wsolve_uveps(self, state, u_new, vl):
@@ -262,7 +268,7 @@ class Workspace:
         # energy cancellation against the chemotaxis term needs this form
         load = p * (p - 1.0) * (self.fs.M @ self.pot.f_value(u_new))
         r = linsolve.solve_spd(
-            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.lin, x0=vl
+            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
         )
         return r.x, r.iterations
 
@@ -270,7 +276,7 @@ class Workspace:
         r = linsolve.solve_general(
             self.A_u + fem.convection_u(self.mesh, sl, kind="nodal"),
             self.fs.D * state.u / self.cfg.dt,
-            self.lin,
+            self.cfg.linear_tol,
             x0=ul,
         )
         return r.x, r.iterations
@@ -291,7 +297,10 @@ class Workspace:
             - fem.weighted_gradient_load(self.mesh, c, g) / (p - 1.0)
         )
         r = linsolve.solve_general(
-            self.A_u + fem.convection_u(self.mesh, sl, kind="nodal"), rhs, self.lin, x0=ul
+            self.A_u + fem.convection_u(self.mesh, sl, kind="nodal"),
+            rhs,
+            self.cfg.linear_tol,
+            x0=ul,
         )
         return r.x, r.iterations
 

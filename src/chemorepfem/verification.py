@@ -21,7 +21,7 @@ from ._oracle import DenseOracle
 from .mesh import build_rect_mesh
 from .presets import get_preset
 from .regularization import RegularizedPotential
-from .schemes import PicardError, SchemeConfig, Workspace, init_state
+from .schemes import SCHEMES, PicardError, SchemeConfig, Workspace, init_state
 
 __all__ = ["CheckResult", "run_verification"]
 
@@ -392,7 +392,7 @@ def check_positivity_trend(steps=200) -> CheckResult:
         ok = True
         details = []
         for p in (1.1, 1.5, 1.9):
-            for scheme in ("uveps", "useps"):
+            for scheme in filter(SchemeConfig.takes_eps, SCHEMES):
                 vals = {}
                 for eps in (1e-3, 1e-5):
                     tr = _simulate(

@@ -3,9 +3,12 @@
 import csv
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemorepfem import build_rect_mesh, runner
 from chemorepfem.cli import main
@@ -13,13 +16,14 @@ from chemorepfem.runner import (
     ConfigError,
     NonFiniteError,
     RunConfig,
+    echo_config,
     execute_run,
     parse_config_file,
     resolve_config,
     run,
     sweep,
 )
-from chemorepfem.schemes import SchemeState
+from chemorepfem.schemes import SCHEMES, SchemeConfig, SchemeState
 from chemorepfem.vtkio import dump_field
 
 FAST = dict(dt=1e-3, steps=10, nx=4, ny=4, picard_tol=1e-8, linear_tol=1e-12)
@@ -52,6 +56,74 @@ def test_config_validation_errors():
         resolve_config({}, {"frobnicate": 1})
     with pytest.raises(ConfigError):
         resolve_config({"p": "not-a-number"}, {})
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_COUNT = st.integers(1, 10**9)
+# a value survives 'key = value' parsing: no comment sign, no outer blanks
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"))
+_PATH = _TEXT.filter(lambda s: s == s.strip() != "" and s.lower() != "none")
+
+
+@st.composite
+def valid_configs(draw):
+    scheme = draw(st.sampled_from(SCHEMES))
+    eps = _UNIT if SchemeConfig.takes_eps(scheme) else st.none() | st.floats(allow_nan=False)
+    nonneg = st.floats(min_value=0.0, allow_infinity=False)
+    constant = st.builds("constant:{!r}:{!r}".format, nonneg, nonneg)
+    return RunConfig(
+        scheme=scheme,
+        p=draw(st.floats(min_value=1.0, max_value=2.0, exclude_min=True, exclude_max=True)),
+        eps=draw(eps),
+        dt=draw(_POSITIVE),
+        steps=draw(_COUNT),
+        nx=draw(_COUNT),
+        ny=draw(_COUNT),
+        lx=draw(_POSITIVE),
+        ly=draw(_POSITIVE),
+        ic=draw(st.sampled_from(["gauss", "cosine"]) | constant),
+        picard_tol=draw(_POSITIVE),
+        picard_max=draw(_COUNT),
+        linear_tol=draw(_POSITIVE),
+        output_every=draw(_COUNT),
+        out_dir=draw(_PATH),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rc=valid_configs())
+def test_config_echo_round_trips(tmp_path_factory, rc):
+    path = tmp_path_factory.mktemp("echo") / "config.echo"
+    echo_config(path, rc)
+    assert resolve_config(parse_config_file(path)) == rc
+
+
+_NUMERIC_KEYS = [f.name for f in fields(RunConfig) if not isinstance(f.default, str)]
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return text.strip().lower() != "none"
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from([f.name for f in fields(RunConfig) if f.name != "eps"]),
+    numeric_key=st.sampled_from(_NUMERIC_KEYS),
+    bad_number=_TEXT.filter(_not_a_number),
+    unknown_key=_TEXT.filter(lambda s: s not in {f.name for f in fields(RunConfig)}),
+)
+def test_bad_config_values_raise_config_error(key, numeric_key, bad_number, unknown_key):
+    with pytest.raises(ConfigError):
+        resolve_config({key: "none"})
+    with pytest.raises(ConfigError):
+        resolve_config({numeric_key: bad_number})
+    with pytest.raises(ConfigError):
+        resolve_config({unknown_key: "1"})
 
 
 def test_constant_run_columns():
@@ -218,6 +290,30 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [
+        "--linear-tol=0",
+        "--linear-tol=inf",
+        "--picard-tol=inf",
+        "--dt=inf",
+        "--lx=inf",
+        "--ly=inf",
+        "--ic=constant:inf:1",
+        "--config=dt-none.cfg",
+    ],
+)
+def test_cli_rejects_bad_settings(tmp_path, capsys, monkeypatch, arg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dt-none.cfg").write_text("dt = none\n")
+    out = tmp_path / "out"
+    code = main(["run", "--steps", "2", "--nx", "4", "--ny", "4", arg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_dump_and_sweep(tmp_path):
