@@ -13,9 +13,7 @@ from dataclasses import fields
 
 from . import runner, verification, vtkio
 from .linsolve import SolverError
-from .mesh import build_rect_mesh
-from .presets import get_preset
-from .schemes import SCHEMES, PicardError, Workspace, init_state
+from .schemes import SCHEMES, PicardError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,9 +49,10 @@ def _resolve(args) -> runner.RunConfig:
 def _cmd_run(args) -> int:
     rc = _resolve(args)
     result = runner.run(rc)
-    last = result.records[-1]
     print(f"run: {rc.scheme} p={rc.p} eps={rc.eps} -> {rc.out_dir}")
-    print(f"  steps completed: {last.step}/{rc.steps}  mass: {last.mass!r}")
+    if result.records:
+        last = result.records[-1]
+        print(f"  steps completed: {last.step}/{rc.steps}  mass: {last.mass!r}")
     if not result.ok:
         print(f"  FAILED ({result.status}): {result.detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -68,7 +67,10 @@ def _cmd_sweep(args) -> int:
     base = _resolve(args)
     schemes = _split_list(args.schemes, str) if args.schemes else [base.scheme]
     ps = _split_list(args.ps, float) if args.ps else [base.p]
-    epss = _split_list(args.epss, float) if args.epss else [base.eps]
+    file_eps = runner.parse_config_file(args.config).get("eps") if args.config else None
+    # the eps given, which base has dropped if its own scheme takes none
+    given_eps = runner._coerce("eps", args.eps if args.eps is not None else file_eps)
+    epss = _split_list(args.epss, float) if args.epss else [given_eps]
     manifest = runner.sweep(base, schemes, ps, epss, args.sweep_out, jobs=args.jobs)
     print(f"sweep manifest: {manifest}")
     with open(manifest) as fp:
@@ -92,25 +94,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    n_steps = args.steps
-    if n_steps == 0:
+    no_steps = args.steps == 0
+    if no_steps:
         args.steps = 1  # satisfy run-config validation, then advance nothing
     rc = _resolve(args)
-    if n_steps is None:
-        n_steps = rc.steps
-    mesh = build_rect_mesh(rc.nx, rc.ny, rc.lx, rc.ly)
-    cfg = rc.scheme_config()
-    preset = get_preset(rc.ic)
-    ops = Workspace(mesh, cfg)
-    state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
-    try:
-        for _ in range(n_steps):
-            state, _ = ops.step(state)
-    except (PicardError, SolverError) as exc:
-        print(f"dump: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    ops, state = runner.start(rc)
+    for _, state, _ in ops.march(state, 0 if no_steps else rc.steps):
+        pass
     which = tuple(args.fields.split(",")) if args.fields else ("u", "v", "sigma")
-    path = vtkio.dump_field(mesh, state, args.vtk_out, which=which)
+    path = vtkio.dump_field(ops.mesh, state, args.vtk_out, which=which)
     print(f"dump: wrote {path} at step {state.step}")
     return EXIT_OK
 

@@ -68,6 +68,12 @@ class RunConfig:
     output_every: int = 1
     out_dir: str = "runs/out"
 
+    def __post_init__(self):
+        # a scheme without regularization ignores eps: store none, so that
+        # config.echo and a sweep's run names say so
+        if not SchemeConfig.takes_eps(self.scheme):
+            object.__setattr__(self, "eps", None)
+
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(SchemeConfig)})
 
@@ -172,10 +178,17 @@ class RunResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def last_step(self) -> Optional[int]:
+        """Step of the last row, None if not even step 0 was recorded."""
+        return self.records[-1].step if self.records else None
 
-def _record(mesh, ops, cfg, state, prev, picard_iters, solver_iters):
+
+def _record(ops, state, prev=None, report=None):
+    """The series row of ``state``; ``prev`` and ``report`` are None at step 0."""
+    mesh, cfg = ops.mesh, ops.cfg
     re_val = None
-    if state.step > 0 and prev is not None:
+    if prev is not None:
         re_val = diagnostics.residual_RE(mesh, cfg, (prev.u, prev.v), (state.u, state.v))
     rec = diagnostics.RunRecord(
         step=state.step,
@@ -186,35 +199,38 @@ def _record(mesh, ops, cfg, state, prev, picard_iters, solver_iters):
         residual_RE=re_val,
         min_u=diagnostics.min_nodal(state.u),
         min_v=diagnostics.min_nodal(state.v),
-        picard_iters=picard_iters,
-        solver_iters=solver_iters,
+        picard_iters=report.iterations if report else 0,
+        solver_iters=report.solver_iters if report else 0,
     )
-    values = [rec.mass, rec.energy_modified, rec.energy_exact, rec.min_u, rec.min_v]
-    if re_val is not None:
-        values.append(re_val)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite([x for x in vars(rec).values() if x is not None]).all():
         raise NonFiniteError(f"non-finite diagnostic at step {state.step}: {rec}")
     return rec
 
 
-def execute_run(rc: RunConfig) -> RunResult:
-    """Run the time loop and collect records; no filesystem side effects."""
-    rc = rc.validate()
+def start(rc: RunConfig):
+    """The workspace of a run and its projected initial state."""
     cfg = rc.scheme_config()
     mesh = build_rect_mesh(rc.nx, rc.ny, rc.lx, rc.ly)
     preset = get_preset(rc.ic)
     ops = Workspace(mesh, cfg)
-    state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
-    records = [_record(mesh, ops, cfg, state, None, 0, 0)]
+    return ops, init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
+
+
+def execute_run(rc: RunConfig) -> RunResult:
+    """Run the time loop and collect records; no filesystem side effects.
+    Output steps are checked for non-finite diagnostics, others for fields."""
+    ops, state = start(rc.validate())
+    records = []
     status, detail = "ok", ""
     try:
-        for n in range(1, rc.steps + 1):
-            prev = state
-            state, report = ops.step(state)
-            if n % rc.output_every == 0 or n == rc.steps:
-                records.append(
-                    _record(mesh, ops, cfg, state, prev, report.iterations, report.solver_iters)
-                )
+        records.append(_record(ops, state))
+        for prev, state, report in ops.march(state, rc.steps):
+            if state.step % rc.output_every == 0 or state.step == rc.steps:
+                records.append(_record(ops, state, prev, report))
+            elif not all(
+                np.isfinite(f).all() for f in (state.u, state.v, state.sigma) if f is not None
+            ):
+                raise NonFiniteError(f"non-finite field at step {state.step}")
     except PicardError as exc:
         status, detail = "picard-failure", str(exc)
     except SolverError as exc:
@@ -234,7 +250,7 @@ def run(rc: RunConfig) -> RunResult:
     if not result.ok:
         with open(os.path.join(rc.out_dir, "FAILED"), "w") as fp:
             fp.write(f"{result.status}: {result.detail}\n")
-            fp.write(f"last completed step: {result.records[-1].step}\n")
+            fp.write(f"last completed step: {_format_value(result.last_step)}\n")
     return result
 
 
@@ -245,7 +261,7 @@ def _eps_tag(eps) -> str:
 def _sweep_worker(rc: RunConfig) -> tuple:
     try:
         result = run(rc)
-        return (result.status, result.records[-1].step)
+        return (result.status, _format_value(result.last_step))
     except Exception as exc:  # a crashed run must not kill the sweep
         return (f"error: {type(exc).__name__}: {exc}", -1)
 
@@ -264,29 +280,21 @@ def sweep(
     Returns the manifest path.
     """
     os.makedirs(out_dir, exist_ok=True)
-    combos = []
+    # schemes without eps drop it, so their eps-axis points share one name
+    runs = {}
     for scheme, p, eps in product(schemes, ps, epss):
-        use_eps = eps if SchemeConfig.takes_eps(scheme) else None
-        name = f"{scheme}_p{p:g}_eps{_eps_tag(use_eps)}"
-        rc = replace(base, scheme=scheme, p=p, eps=use_eps, out_dir=os.path.join(out_dir, name))
-        rc.validate()
-        combos.append((name, rc))
-    # schemes without eps collapse duplicate eps-axis points
-    seen = set()
-    unique = []
-    for name, rc in combos:
-        if name not in seen:
-            seen.add(name)
-            unique.append((name, rc))
+        rc = replace(base, scheme=scheme, p=p, eps=eps)
+        name = f"{scheme}_p{p:g}_eps{_eps_tag(rc.eps)}"
+        runs.setdefault(name, replace(rc, out_dir=os.path.join(out_dir, name)).validate())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_worker, [rc for _, rc in unique]))
+            outcomes = list(pool.map(_sweep_worker, runs.values()))
     else:
-        outcomes = [_sweep_worker(rc) for _, rc in unique]
+        outcomes = [_sweep_worker(rc) for rc in runs.values()]
     manifest = os.path.join(out_dir, "manifest.csv")
     with open(manifest, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["run", "scheme", "p", "eps", "dir", "status", "last_step"])
-        for (name, rc), (status, last) in zip(unique, outcomes):
+        for (name, rc), (status, last) in zip(runs.items(), outcomes):
             writer.writerow([name, rc.scheme, repr(rc.p), _eps_tag(rc.eps), rc.out_dir, status, last])
     return manifest

@@ -181,7 +181,7 @@ def _anderson_mix(u, f, d_u, d_f, beta):
 
 class Workspace:
     """Per-(mesh, config) operator cache and stepping engine: build it
-    once and call :meth:`step` for every step."""
+    once and iterate :meth:`march`, the time loop over :meth:`step`."""
 
     def __init__(self, mesh, cfg: SchemeConfig):
         self.mesh = mesh
@@ -378,6 +378,14 @@ class Workspace:
             new.v = rec.x
             max_solver = max(max_solver, rec.iterations)
         return new, PicardReport(it, change, max_solver)
+
+    def march(self, state: SchemeState, steps: int):
+        """The time loop: yield (prev, state, report) for each of ``steps``
+        steps from ``state``.  A failed step raises out of the loop."""
+        for _ in range(steps):
+            prev = state
+            state, report = self.step(state)
+            yield prev, state, report
 
     def _pack(self, state, u_new, w_new) -> SchemeState:
         step = state.step + 1

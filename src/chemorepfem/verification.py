@@ -10,8 +10,8 @@ and an exit status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,9 +19,9 @@ from scipy.integrate import quad
 from . import diagnostics, fem, lambda_ops
 from ._oracle import DenseOracle
 from .mesh import build_rect_mesh
-from .presets import get_preset
 from .regularization import RegularizedPotential
-from .schemes import SCHEMES, PicardError, SchemeConfig, Workspace, init_state
+from .runner import RunConfig, start
+from .schemes import SCHEMES, PicardError, SchemeConfig
 
 __all__ = ["CheckResult", "run_verification"]
 
@@ -162,77 +162,36 @@ def check_potential_suite() -> CheckResult:
     return _result("3 regularized potential suite", body)
 
 
-# -- shared simulation helper ---------------------------------------------------
+# -- shared leg helper ----------------------------------------------------------
+
+# the base leg of criteria 4 to 10: the run defaults (a 20 x 20 mesh of
+# [0, 2]^2, linear_tol 1e-12) on the gauss data at dt = 1e-4
+_BASE = RunConfig(p=1.5, dt=1e-4, steps=200, ic="gauss", picard_tol=1e-10, picard_max=500)
 
 
-@dataclass
-class RunTrace:
-    scheme: str
-    p: float
-    eps: Optional[float]
-    dt: float
-    mass_err: float = 0.0
-    mass0: float = 0.0
-    law_max_rel: float = -np.inf
-    ee: Optional[list] = None
-    re: Optional[list] = None
-    min_u: float = np.inf
-    neg_norm_max: float = 0.0
-    failure: str = ""
-
-
-def _simulate(
-    scheme,
-    p,
-    eps,
-    dt,
-    steps,
-    ic,
-    nx=20,
-    picard_tol=1e-10,
-    picard_max=500,
-    track=("mass", "law"),
-) -> RunTrace:
-    mesh = build_rect_mesh(nx, nx, 2.0, 2.0)
-    cfg = SchemeConfig(
-        scheme=scheme,
-        p=p,
-        dt=dt,
-        eps=eps,
-        picard_tol=picard_tol,
-        picard_max=picard_max,
-        linear_tol=1e-12,
-    )
-    ops = Workspace(mesh, cfg)
-    preset = get_preset(ic)
-    state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
-    trace = RunTrace(scheme, p, eps, dt)
-    trace.mass0 = diagnostics.mass(mesh, state.u)
-    trace.ee = [diagnostics.energy_exact(mesh, cfg, state.u, state.v)]
-    trace.re = []
+def _leg(rc, quantity):
+    """Step the run ``rc`` as ``run`` does and evaluate ``quantity(ops,
+    prev, state)`` after every step.  Returns the workspace, the initial
+    state, the values of the completed steps and a PicardError's text ('' if none)."""
+    ops, state0 = start(rc)
+    values, failure = [], ""
     try:
-        for _ in range(steps):
-            prev = state
-            state, _ = ops.step(state)
-            if "mass" in track:
-                trace.mass_err = max(
-                    trace.mass_err, abs(diagnostics.mass(mesh, state.u) - trace.mass0)
-                )
-            if "law" in track and scheme != "uv":
-                lhs = diagnostics.energy_law_lhs(mesh, ops.pot, cfg, prev, state)
-                e_prev = abs(diagnostics.energy_modified(mesh, ops.pot, cfg, prev))
-                trace.law_max_rel = max(trace.law_max_rel, lhs / max(e_prev, 1e-300))
-            if "ee" in track:
-                trace.ee.append(diagnostics.energy_exact(mesh, cfg, state.u, state.v))
-                trace.re.append(
-                    diagnostics.residual_RE(mesh, cfg, (prev.u, prev.v), (state.u, state.v))
-                )
-            if "minu" in track:
-                trace.min_u = min(trace.min_u, float(state.u.min()))
-                trace.neg_norm_max = max(trace.neg_norm_max, diagnostics.neg_part_l2(mesh, state.u))
+        for prev, state, _ in ops.march(state0, rc.steps):
+            values.append(quantity(ops, prev, state))
     except PicardError as exc:
-        trace.failure = str(exc)
-    return trace
+        failure = str(exc)
+    return ops, state0, values, failure
+
+
+def _mass(ops, prev, state):
+    return diagnostics.mass(ops.mesh, state.u)
+
+
+def _law_rel(ops, prev, state):
+    """Energy-law left-hand side of a step relative to |E_h(prev)|."""
+    lhs = diagnostics.energy_law_lhs(ops.mesh, ops.pot, ops.cfg, prev, state)
+    e_prev = abs(diagnostics.energy_modified(ops.mesh, ops.pot, ops.cfg, prev))
+    return lhs / max(e_prev, 1e-300)
 
 
 # -- criteria 4 & 5: conservation and energy laws ----------------------------
@@ -245,12 +204,14 @@ def check_mass_conservation(steps=200) -> CheckResult:
         details = []
         ok = True
         for scheme, eps in _GAUSS_RUNS:
-            tr = _simulate(scheme, 1.5, eps, 1e-4, steps, "gauss", track=("mass",))
-            if tr.failure:
+            rc = replace(_BASE, scheme=scheme, eps=eps, steps=steps)
+            ops, state0, masses, failure = _leg(rc, _mass)
+            if failure:
                 ok = False
-                details.append(f"{scheme}: {tr.failure}")
+                details.append(f"{scheme}: {failure}")
                 continue
-            rel = tr.mass_err / abs(tr.mass0)
+            mass0 = diagnostics.mass(ops.mesh, state0.u)
+            rel = max(abs(m - mass0) for m in masses) / abs(mass0)
             ok = ok and rel <= 1e-10
             details.append(f"{scheme}: max rel drift {rel:.2e}")
         return ok, "; ".join(details) + " (tol 1e-10)"
@@ -271,11 +232,12 @@ def energy_law_legs(steps=200):
 
 def energy_law_leg_result(scheme, eps, dt, steps=200):
     """One leg: returns (passed, detail). Nonpositive LHS up to 1e-8 rel."""
-    tr = _simulate(scheme, 1.5, eps, dt, steps, "gauss", track=("law",))
-    if tr.failure:
-        return False, f"{scheme} dt={dt:g}: {tr.failure}"
-    ok = tr.law_max_rel <= 1e-8
-    return ok, f"{scheme} dt={dt:g}: worst rel LHS {tr.law_max_rel:+.2e} (tol 1e-8)"
+    rc = replace(_BASE, scheme=scheme, eps=eps, dt=dt, steps=steps)
+    _, _, laws, failure = _leg(rc, _law_rel)
+    if failure:
+        return False, f"{scheme} dt={dt:g}: {failure}"
+    worst = max(laws)
+    return worst <= 1e-8, f"{scheme} dt={dt:g}: worst rel LHS {worst:+.2e} (tol 1e-8)"
 
 
 def check_energy_laws(steps=200) -> CheckResult:
@@ -302,15 +264,28 @@ _COSINE_RUNS = [
     ("useps", 1e-7),
 ]
 
+# picard_tol 1e-5: the published 1e-3 leaves iteration noise comparable to
+# the monotonicity slack, and 1e-10 is unreachable for the near-kink
+# eps=1e-7 map (stalls around 2e-6); 1e-5 converges on every leg
+_COSINE = replace(_BASE, p=1.4, steps=300, ic="cosine", picard_tol=1e-5)
+
+
+def _exact_and_re(ops, prev, state):
+    """Exact energy after a step and the step's energy residual RE."""
+    ee = diagnostics.energy_exact(ops.mesh, ops.cfg, state.u, state.v)
+    return ee, diagnostics.residual_RE(ops.mesh, ops.cfg, (prev.u, prev.v), (state.u, state.v))
+
+
+def _cosine_leg(rc):
+    """Exact energies from step 0 on, RE of every step, and failure text."""
+    ops, state0, values, failure = _leg(rc, _exact_and_re)
+    ee0 = diagnostics.energy_exact(ops.mesh, ops.cfg, state0.u, state0.v)
+    return [ee0] + [ee for ee, _ in values], [re for _, re in values], failure
+
 
 def cosine_traces(steps=300):
-    # picard_tol 1e-5: the published 1e-3 leaves iteration noise comparable
-    # to the monotonicity slack, and 1e-10 is unreachable for the near-kink
-    # eps=1e-7 map (stalls around 2e-6); 1e-5 converges on every leg
     return {
-        (scheme, eps): _simulate(
-            scheme, 1.4, eps, 1e-4, steps, "cosine", picard_tol=1e-5, track=("ee",)
-        )
+        (scheme, eps): _cosine_leg(replace(_COSINE, scheme=scheme, eps=eps, steps=steps))
         for scheme, eps in _COSINE_RUNS
     }
 
@@ -320,16 +295,15 @@ def check_exact_energy_monotone(traces=None) -> CheckResult:
         trs = traces if traces is not None else cosine_traces()
         ok = True
         details = []
-        for (scheme, eps), tr in trs.items():
-            if tr.failure:
+        for (scheme, eps), (ee, _, failure) in trs.items():
+            if failure:
                 ok = False
-                details.append(f"{scheme}/{eps}: {tr.failure}")
+                details.append(f"{scheme}/{eps}: {failure}")
                 continue
-            ee = np.asarray(tr.ee)
+            ee = np.asarray(ee)
             slack = 1e-8 * np.abs(ee[:-1])
             worst = float(np.max(np.diff(ee) - slack))
-            leg_ok = worst <= 0.0
-            ok = ok and leg_ok
+            ok = ok and worst <= 0.0
             details.append(f"{scheme}/eps={eps}: worst slacked increment {worst:+.2e}")
         return ok, "; ".join(details)
 
@@ -342,12 +316,12 @@ def check_residual_signs(traces=None, refinement_evidence=True) -> CheckResult:
         ok = True
         details = []
         us0_failed = False
-        for (scheme, eps), tr in trs.items():
-            if tr.failure:
+        for (scheme, eps), (_, re, failure) in trs.items():
+            if failure:
                 ok = False
-                details.append(f"{scheme}/{eps}: {tr.failure}")
+                details.append(f"{scheme}/{eps}: {failure}")
                 continue
-            re = np.asarray(tr.re)
+            re = np.asarray(re)
             if scheme in ("us0", "useps"):
                 leg_ok = bool(np.all(re <= 0.0))
                 ok = ok and leg_ok
@@ -371,10 +345,8 @@ def check_residual_signs(traces=None, refinement_evidence=True) -> CheckResult:
             # discrete law fixes its sign: refining the mesh only delays its
             # positive phase (from step 211 at nx=20, 306 at nx=50, so this
             # 300-step rerun ends just before it)
-            tr50 = _simulate(
-                "us0", 1.4, None, 1e-4, 300, "cosine", nx=50, picard_tol=1e-5, track=("ee",)
-            )
-            re50 = np.asarray(tr50.re)
+            _, re50, _ = _cosine_leg(replace(_COSINE, scheme="us0", eps=None, nx=50, ny=50))
+            re50 = np.asarray(re50)
             details.append(
                 f"evidence: same us0 run at nx=50 over {len(re50)} steps gives max RE "
                 f"{re50.max():+.3e} ({int(np.sum(re50 > 0))} positive steps)"
@@ -387,6 +359,10 @@ def check_residual_signs(traces=None, refinement_evidence=True) -> CheckResult:
 # -- criterion 8: positivity trend -----------------------------------------------
 
 
+def _min_and_neg_part(ops, prev, state):
+    return float(state.u.min()), diagnostics.neg_part_l2(ops.mesh, state.u)
+
+
 def check_positivity_trend(steps=200) -> CheckResult:
     def body():
         ok = True
@@ -395,16 +371,14 @@ def check_positivity_trend(steps=200) -> CheckResult:
             for scheme in filter(SchemeConfig.takes_eps, SCHEMES):
                 vals = {}
                 for eps in (1e-3, 1e-5):
-                    tr = _simulate(
-                        scheme, p, eps, 1e-4, steps, "gauss", picard_tol=1e-3, track=("minu",)
-                    )
-                    if tr.failure:
-                        return False, f"{scheme} p={p} eps={eps}: {tr.failure}"
-                    vals[eps] = (min(tr.min_u, 0.0), tr.neg_norm_max)
+                    rc = replace(_BASE, scheme=scheme, p=p, eps=eps, steps=steps, picard_tol=1e-3)
+                    _, _, values, failure = _leg(rc, _min_and_neg_part)
+                    if failure:
+                        return False, f"{scheme} p={p} eps={eps}: {failure}"
+                    vals[eps] = (min(min(m for m, _ in values), 0.0), max(n for _, n in values))
                 m3, n3 = vals[1e-3]
                 m5, n5 = vals[1e-5]
-                leg_ok = abs(m5) <= abs(m3) + 1e-12 and n5 <= n3 + 1e-12
-                ok = ok and leg_ok
+                ok = ok and abs(m5) <= abs(m3) + 1e-12 and n5 <= n3 + 1e-12
                 details.append(
                     f"{scheme} p={p}: min {m3:+.2e}->{m5:+.2e}, negnorm {n3:.2e}->{n5:.2e}"
                 )
@@ -418,33 +392,24 @@ def check_positivity_trend(steps=200) -> CheckResult:
 
 def check_constant_state() -> CheckResult:
     def body():
-        mesh = build_rect_mesh(4, 4, 2.0, 2.0)
+        base = replace(_BASE, dt=0.1, steps=20, nx=4, ny=4, ic="constant:2:1")
+        base = replace(base, picard_tol=1e-13, picard_max=200, linear_tol=1e-14)
         worst = 0.0
         for scheme, eps in (("uv", None), ("uveps", 0.01)):
-            cfg = SchemeConfig(
-                scheme=scheme,
-                p=1.5,
-                dt=0.1,
-                eps=eps,
-                picard_tol=1e-13,
-                linear_tol=1e-14,
+            ops, _, values, failure = _leg(
+                replace(base, scheme=scheme, eps=eps),
+                lambda _ops, _prev, state: (np.abs(state.u - 2.0).max(), state.v),
             )
-            ops = Workspace(mesh, cfg)
-            preset = get_preset("constant:2:1")
-            state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
+            if failure:
+                return False, failure
             if scheme == "uv":
                 source = 2.0**1.5
             else:
                 source = 1.5 * 0.5 * ops.pot.f_value(2.0)
             v_ref = 1.0
-            for _ in range(20):
-                state, _ = ops.step(state)
+            for u_gap, v in values:
                 v_ref = (v_ref + 0.1 * source) / 1.1
-                worst = max(
-                    worst,
-                    np.abs(state.u - 2.0).max(),
-                    np.abs(state.v - v_ref).max() / max(1.0, abs(v_ref)),
-                )
+                worst = max(worst, u_gap, np.abs(v - v_ref).max() / max(1.0, abs(v_ref)))
         return worst <= 1e-12, f"worst deviation from scalar recurrence {worst:.2e} (tol 1e-12)"
 
     return _result("9 constant-state exactness", body)
@@ -453,29 +418,25 @@ def check_constant_state() -> CheckResult:
 # -- criterion 10: dense one-step oracle ----------------------------------------
 
 
+def _oracle_gap(ops, prev, state):
+    """Largest DOF gap between a step and the dense oracle's step."""
+    u_o, v_o, s_o = DenseOracle(ops.mesh, ops.cfg).step(prev)
+    gap = max(np.abs(state.u - u_o).max(), np.abs(state.v - v_o).max())
+    if s_o is not None:
+        gap = max(gap, np.abs(state.sigma - s_o).max())
+    return gap
+
+
 def check_dense_oracle() -> CheckResult:
     def body():
-        mesh = build_rect_mesh(2, 2, 2.0, 2.0)
-        preset = get_preset("gauss")
+        base = replace(_BASE, steps=1, nx=2, ny=2, picard_tol=1e-13, linear_tol=1e-13)
         worst = 0.0
         details = []
-        for scheme, eps in (("uv", None), ("uveps", 1e-3), ("useps", 1e-3), ("us0", None)):
-            cfg = SchemeConfig(
-                scheme=scheme,
-                p=1.5,
-                dt=1e-4,
-                eps=eps,
-                picard_tol=1e-13,
-                linear_tol=1e-13,
-                picard_max=500,
-            )
-            ops = Workspace(mesh, cfg)
-            state = init_state(mesh, cfg, preset.u0, preset.v0, preset.grad_v0)
-            new, _ = ops.step(state)
-            u_o, v_o, s_o = DenseOracle(mesh, cfg).step(state)
-            gap = max(np.abs(new.u - u_o).max(), np.abs(new.v - v_o).max())
-            if s_o is not None:
-                gap = max(gap, np.abs(new.sigma - s_o).max())
+        for scheme, eps in _GAUSS_RUNS:
+            _, _, gaps, failure = _leg(replace(base, scheme=scheme, eps=eps), _oracle_gap)
+            if failure:
+                return False, failure
+            (gap,) = gaps
             worst = max(worst, gap)
             details.append(f"{scheme}: {gap:.2e}")
         return worst <= 1e-9, "max DOF gap vs dense oracle: " + "; ".join(details) + " (tol 1e-9)"
@@ -489,7 +450,7 @@ def check_dense_oracle() -> CheckResult:
 def run_verification(level: str = "fast") -> List[CheckResult]:
     """Run the chosen verification level and return per-check results."""
     if level == "fast":
-        results = [
+        return [
             check_element_identities(n_fields=60),
             check_spectral_and_lipschitz_bounds(n_fields=60),
             check_potential_suite(),
@@ -497,7 +458,6 @@ def run_verification(level: str = "fast") -> List[CheckResult]:
             check_dense_oracle(),
             _result("fast conservation/energy smoke", _fast_smoke),
         ]
-        return results
     if level == "full":
         results = [
             check_element_identities(),
@@ -522,11 +482,13 @@ def _fast_smoke():
     ok = True
     details = []
     for scheme, eps in (("uveps", 1e-3), ("us0", None)):
-        tr = _simulate(scheme, 1.5, eps, 1e-4, 50, "gauss", nx=8, track=("mass", "law"))
-        if tr.failure:
-            return False, tr.failure
-        rel = tr.mass_err / abs(tr.mass0)
-        leg = rel <= 1e-10 and tr.law_max_rel <= 1e-8
-        ok = ok and leg
-        details.append(f"{scheme}: mass {rel:.1e}, law {tr.law_max_rel:+.1e}")
+        rc = replace(_BASE, scheme=scheme, eps=eps, steps=50, nx=8, ny=8)
+        ops, state0, values, failure = _leg(rc, lambda *a: (_mass(*a), _law_rel(*a)))
+        if failure:
+            return False, failure
+        mass0 = diagnostics.mass(ops.mesh, state0.u)
+        rel = max(abs(m - mass0) for m, _ in values) / abs(mass0)
+        law = max(law for _, law in values)
+        ok = ok and rel <= 1e-10 and law <= 1e-8
+        details.append(f"{scheme}: mass {rel:.1e}, law {law:+.1e}")
     return ok, "; ".join(details)

@@ -181,7 +181,108 @@ def test_nonfinite_detection():
         np.full(mesh.n_nodes, np.nan), np.ones(mesh.n_nodes), None, 1, rc.dt
     )
     with pytest.raises(NonFiniteError):
-        _record(mesh, ops, cfg, bad, None, 1, 1)
+        _record(ops, bad)
+
+
+def test_nonfinite_state_between_output_rows(monkeypatch):
+    # a NaN on a step that writes no row still ends the run at that step
+    from chemorepfem.schemes import Workspace
+
+    step = Workspace.step
+
+    def poisoned(self, state):
+        new, report = step(self, state)
+        if new.step == 2:
+            new.u = np.full_like(new.u, np.nan)
+        return new, report
+
+    monkeypatch.setattr(Workspace, "step", poisoned)
+    rc = RunConfig(scheme="uv", ic="gauss", output_every=5, **FAST)
+    result = execute_run(rc)
+    assert result.status == "non-finite"
+    assert "at step 2" in result.detail
+    assert [r.step for r in result.records] == [0]
+
+
+def test_step0_failure_leaves_header_only_series(tmp_path, capsys):
+    # the step-0 energy overflows to inf
+    out = tmp_path / "huge"
+    args = ["--ic", "constant:1e250:1", "--steps", "2", "--nx", "3", "--ny", "3"]
+    assert main(["run", *args, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert (out / "config.echo").exists()
+    assert (out / "series.csv").read_text() == runner.SERIES_HEADER + "\n"
+    failed = (out / "FAILED").read_text()
+    assert failed.startswith("non-finite")
+    assert failed.endswith("last completed step: none\n")
+    manifest = sweep(
+        RunConfig(ic="constant:1e250:1", steps=2, nx=3, ny=3), ["uv"], [1.5], [None],
+        str(tmp_path / "sw"),
+    )
+    with open(manifest) as fp:
+        rows = list(csv.DictReader(fp))
+    assert [(r["status"], r["last_step"]) for r in rows] == [("non-finite", "none")]
+
+
+def test_eps_dropped_for_schemes_without_eps(tmp_path):
+    assert RunConfig(scheme="us0", eps=0.5).eps is None
+    assert RunConfig(scheme="useps", eps=0.5).eps == 0.5
+    out = tmp_path / "uv"
+    code = main(
+        [
+            "run", "--scheme", "uv", "--eps", "nan", "--steps", "1", "--nx", "3", "--ny", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert "eps = none\n" in (out / "config.echo").read_text()
+
+
+@pytest.mark.parametrize("scheme,eps", [("uv", None), ("uveps", 1e-3), ("useps", 1e-3), ("us0", None)])
+def test_run_records_match_verification_legs(scheme, eps):
+    # verification steps its legs through the run path: same numbers, bit for bit
+    from chemorepfem import verification
+
+    rc = RunConfig(
+        scheme=scheme, eps=eps, p=1.4, dt=1e-4, steps=6, nx=6, ny=6, ic="cosine",
+        picard_tol=1e-5,
+    )
+    records = execute_run(rc).records
+    _, _, masses, failure = verification._leg(rc, verification._mass)
+    ee, re, failure_c = verification._cosine_leg(rc)
+    assert failure == failure_c == ""
+    assert [r.mass for r in records[1:]] == masses
+    assert [r.energy_exact for r in records] == ee
+    assert [r.residual_RE for r in records[1:]] == re
+
+
+def test_leg_keeps_the_values_of_steps_before_a_picard_failure(monkeypatch):
+    from chemorepfem import verification
+    from chemorepfem.schemes import PicardError, Workspace
+
+    step = Workspace.step
+
+    def failing(self, state):
+        new, report = step(self, state)
+        if new.step == 3:
+            raise PicardError(self.cfg.scheme, new.step, report, new)
+        return new, report
+
+    monkeypatch.setattr(Workspace, "step", failing)
+    rc = RunConfig(scheme="uv", ic="gauss", **{**FAST, "steps": 5})
+    _, _, masses, failure = verification._leg(rc, verification._mass)
+    assert len(masses) == 2 and "did not converge at step 3" in failure
+
+
+def test_dense_oracle_reports_a_picard_failure(monkeypatch):
+    # a leg that fails at its only step is a failed check with the error text
+    from dataclasses import replace
+
+    from chemorepfem import verification
+
+    monkeypatch.setattr(verification, "_BASE", replace(verification._BASE, picard_max=1))
+    result = verification.check_dense_oracle()
+    assert not result.passed and result.detail.startswith("Picard iteration")
 
 
 def test_picard_failure_recorded(tmp_path):
@@ -316,7 +417,7 @@ def test_cli_rejects_bad_settings(tmp_path, capsys, monkeypatch, arg):
     assert not out.exists()
 
 
-def test_cli_dump_and_sweep(tmp_path):
+def test_cli_dump_and_sweep(tmp_path, capsys):
     vtk = tmp_path / "f.vtk"
     code = main(
         [
@@ -328,6 +429,23 @@ def test_cli_dump_and_sweep(tmp_path):
     text = vtk.read_text()
     assert "SCALARS u double 1" in text and "VECTORS" not in text
 
+    vtk0 = tmp_path / "f0.vtk"
+    capsys.readouterr()
+    code = main(["dump", "--steps", "0", "--nx", "4", "--ny", "4", "--vtk-out", str(vtk0)])
+    assert code == 0 and vtk0.exists()
+    assert capsys.readouterr().out.strip().endswith("at step 0")
+
+    # a Picard failure in dump exits 2 and writes no file
+    vtk_fail = tmp_path / "fail.vtk"
+    code = main(
+        [
+            "dump", "--scheme", "uv", "--ic", "gauss", "--dt", "1e-3", "--steps", "2",
+            "--nx", "4", "--ny", "4", "--picard-max", "1", "--picard-tol", "1e-14",
+            "--vtk-out", str(vtk_fail),
+        ]
+    )
+    assert code == 2 and not vtk_fail.exists()
+
     code = main(
         [
             "sweep", "--ic", "constant:2:1", "--dt", "1e-3", "--steps", "3", "--nx", "4",
@@ -336,6 +454,22 @@ def test_cli_dump_and_sweep(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "sw" / "manifest.csv").exists()
+
+    # one --eps value (or a config file's eps) is the eps axis, also when the
+    # base scheme takes no eps
+    cfgfile = tmp_path / "eps.cfg"
+    cfgfile.write_text("eps = 1e-3\n")
+    small = ["--ic", "constant:2:1", "--dt", "1e-3", "--steps", "2", "--nx", "3", "--ny", "3"]
+    for i, given in enumerate((["--eps", "1e-3"], ["--config", str(cfgfile)])):
+        out = tmp_path / f"sw_eps{i}"
+        code = main(["sweep", *small, *given, "--schemes", "uv,uveps", "--sweep-out", str(out)])
+        assert code == 0
+        with open(out / "manifest.csv") as fp:
+            rows = list(csv.DictReader(fp))
+        assert [(r["run"], r["status"]) for r in rows] == [
+            ("uv_p1.5_epsnone", "ok"),
+            ("uveps_p1.5_eps0.001", "ok"),
+        ]
 
 
 def test_us0_cosine_residual_column_nonpositive(tmp_path):
