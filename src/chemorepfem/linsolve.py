@@ -1,14 +1,38 @@
-"""Sparse iterative solvers for the per-step linear systems.
+"""Sparse solvers for the per-step linear systems.
 
 Preconditioned CG and BiCGStab that enforce the residual contract
 (||Ax - b|| <= rel_tol * ||b||), count iterations, and fail loudly
 instead of returning an unconverged iterate.  The SPD systems (v, sigma,
-projections) are Jacobi-preconditioned CG.  The nonsymmetric u-equation
-with its convection matrix goes to BiCGStab preconditioned by an
-incomplete LU (drop tolerance 1e-6, fill factor 20) whose columns are
-ordered by minimum degree on A^T + A; that factor is nearly exact, so
-BiCGStab converges in about one iteration.  If SuperLU cannot factor the
-matrix, BiCGStab runs with the Jacobi preconditioner instead.
+projections) go to ``solve_spd``.  Given a bare matrix it runs
+Jacobi-preconditioned CG.  Given an ``SPDSolver``, the one solver that
+``schemes.Workspace`` builds for each constant SPD operator it solves
+repeatedly (``A_v``, the lumped ``A_u`` of ``uveps``, ``A_sig_red``), it
+reuses that operator's Jacobi vector, and an operator with at most
+``_DIRECT_MAX_N`` unknowns is solved by a sparse LU (SuperLU ``splu``,
+minimum degree on A^T + A) built at its first solve.  A direct result
+that misses the contract is polished by CG from itself.  The choice is
+made once per operator, from its size alone, so every solve of one
+operator takes the same path and runs repeat bit for bit.  The bound
+rests on these timings (scipy 1.17.1, one BLAS thread, warm Jacobi-CG
+from a nearby start, rel_tol 1e-12; ``nx`` is the mesh):
+
+    n (operator, nx)       LU build      LU solve       CG solve       repays after
+    441 (A_v/A_u, 20)      0.44/0.37 ms  16/12 us       233/225 us     ~2 solves
+    798 (A_sig_red, 20)    1.95 ms       33 us          336 us         ~6
+    1681 (A_v/A_u, 40)     1.8/1.4 ms    58/38 us       169/106 us     ~16-20
+    3198 (A_sig_red, 40)   18.4 ms       283 us         400 us         ~160
+    25921 (A_v/A_u, 160)   35-63/42 ms   1.1-2.2/0.9 ms 2.5-2.8/2.3 ms ~40-70
+    51198 (A_sig_red, 160) 1.23 s        9.8 ms         6.9 ms         never
+
+Factoring ``A_sig_red`` at nx = 40 as well cost 12% of the ``useps``/
+``us0`` rate of a 20-step nx = 40 run and 12% more peak memory.
+
+The nonsymmetric u-equation with its convection matrix goes to BiCGStab
+preconditioned by an incomplete LU (drop tolerance 1e-6, fill factor 20)
+whose columns are ordered by minimum degree on A^T + A; that factor is
+nearly exact, so BiCGStab converges in about one iteration.  If SuperLU
+cannot factor the matrix, BiCGStab runs with the Jacobi preconditioner
+instead.
 
 The two Krylov loops live in this module instead of calling scipy's
 ``cg``/``bicgstab``: the systems are small and solved thousands of times
@@ -31,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveResult", "SolverError", "solve_spd", "solve_general"]
+__all__ = ["SolveResult", "SolverError", "SPDSolver", "solve_spd", "solve_general"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +76,10 @@ class SolverError(RuntimeError):
 
 # scipy's rho and omega breakdown tolerances in bicgstab
 _BREAKDOWN = np.finfo(float).eps ** 2
+
+# SPDSolver factors operators up to this size (see the module docstring):
+# below it the LU repays within about 20 solves, above it within 160 or never
+_DIRECT_MAX_N = 2000
 
 
 def _jacobi(A):
@@ -147,13 +175,43 @@ def _bicgstab(A, b, x0, psolve, atol, maxiter):
     return x, maxiter, maxiter
 
 
+class SPDSolver:
+    """A constant SPD operator ``A`` prepared for repeated ``solve_spd``
+    calls: its Jacobi vector, and whether it is solved directly (at most
+    ``_DIRECT_MAX_N`` unknowns), are fixed here; the LU is built at the
+    first direct solve."""
+
+    def __init__(self, A):
+        self.A = A
+        self.dinv = _jacobi(A)
+        self.direct = A.shape[0] <= _DIRECT_MAX_N
+        self.lu = None
+
+    def lu_solve(self, b):
+        if self.lu is None:
+            self.lu = spla.splu(sp.csc_matrix(self.A), permc_spec="MMD_AT_PLUS_A")
+        return self.lu.solve(b)
+
+
 def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
-    """Jacobi-preconditioned conjugate gradients for SPD systems."""
+    """Solve an SPD system: Jacobi-preconditioned CG for a matrix ``A``;
+    for an ``SPDSolver`` its cached Jacobi vector, or, when it is direct,
+    its LU, polished by CG from the LU's result if that misses the
+    contract (``iterations`` counts the polish, so 0 when none ran)."""
     b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
     atol = rel_tol * bnorm
-    dinv = _jacobi(A)
+    if isinstance(A, SPDSolver):
+        solver, A = A, A.A
+        dinv = solver.dinv
+        if solver.direct:
+            x0 = solver.lu_solve(b)
+            res = _residual(A, x0, b)
+            if res <= atol:
+                return SolveResult(x0, 0, res)
+    else:
+        dinv = _jacobi(A)
     x, info, iters = _cg(A, b, x0, dinv, atol, maxiter)
     res = _residual(A, x, b)
     if info == 0 and res > atol:

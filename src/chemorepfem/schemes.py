@@ -198,10 +198,16 @@ class Workspace:
             self.A_u = (fs.M / k + fs.S).tocsr()
         else:
             self.A_u = (sp.diags(fs.D) / k + fs.S).tocsr()
+        # one solver per constant SPD operator: the u-matrix is one only
+        # for uveps, the others add convection to it on every iterate
+        self.v_solver = linsolve.SPDSolver(self.A_v)
+        if cfg.scheme == "uveps":
+            self.u_solver = linsolve.SPDSolver(self.A_u)
         if cfg.uses_sigma:
             free = fs.sigma_free
             A_sig = (fs.M2 / k + fs.B).tocsr()
             self.A_sig_red = A_sig[free, :][:, free].tocsr()
+            self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
 
     # -- norms and changes ----------------------------------------------------
 
@@ -219,7 +225,7 @@ class Workspace:
     def _solve_sigma(self, rhs_full, sigma_guess):
         free = self.fs.sigma_free
         x0 = fem.stack_vec(sigma_guess)[free]
-        res = linsolve.solve_spd(self.A_sig_red, rhs_full[free], self.cfg.linear_tol, x0=x0)
+        res = linsolve.solve_spd(self.sigma_solver, rhs_full[free], self.cfg.linear_tol, x0=x0)
         full = np.zeros(2 * self.mesh.n_nodes)
         full[free] = res.x
         return fem.unstack_vec(full), res.iterations
@@ -236,7 +242,7 @@ class Workspace:
         else:
             raise ValueError(f"scheme {cfg.scheme!r} carries v itself; nothing to recover")
         rhs = (self.fs.M @ v_prev) / k + load
-        return linsolve.solve_spd(self.A_v, rhs, self.cfg.linear_tol, x0=x0)
+        return linsolve.solve_spd(self.v_solver, rhs, self.cfg.linear_tol, x0=x0)
 
     # -- Picard half-iterates: u-solve with frozen data, then v/sigma-solve ----
 
@@ -252,14 +258,14 @@ class Workspace:
     def _wsolve_uv(self, state, u_new, vl):
         load = fem.lumped_load(self.mesh, np.power(_pos(u_new), self.cfg.p))
         r = linsolve.solve_spd(
-            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
+            self.v_solver, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
         )
         return r.x, r.iterations
 
     def _usolve_uveps(self, state, ul, vl):
         w = lambda2(self.pot, self.mesh, ul) * fem.grad_p1(self.mesh, vl)
         rhs = self.fs.D * state.u / self.cfg.dt - fem.gradient_load(self.mesh, w)
-        r = linsolve.solve_spd(self.A_u, rhs, self.cfg.linear_tol, x0=ul)
+        r = linsolve.solve_spd(self.u_solver, rhs, self.cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
     def _wsolve_uveps(self, state, u_new, vl):
@@ -268,7 +274,7 @@ class Workspace:
         # energy cancellation against the chemotaxis term needs this form
         load = p * (p - 1.0) * (self.fs.M @ self.pot.f_value(u_new))
         r = linsolve.solve_spd(
-            self.A_v, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
+            self.v_solver, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
         )
         return r.x, r.iterations
 

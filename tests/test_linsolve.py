@@ -347,3 +347,129 @@ def test_kernels_match_scipy_on_dominant_matrices(seed, n, density, warm, maxite
     check_bicgstab(A, b, x0, linsolve._ilu(A), maxiter=maxiter)
     dinv = linsolve._jacobi(A)
     check_bicgstab(A, b, x0, lambda r: dinv * r, maxiter=maxiter)
+
+
+# -- SPDSolver: one solver per constant SPD operator ------------------------
+
+
+class _Factor:
+    """Stands in for a SuperLU factor: its ``solve`` is the given function."""
+
+    def __init__(self, solve):
+        self.solve = solve
+
+
+def failing_splu(*args, **kwargs):
+    raise AssertionError("splu called for an operator above the bound")
+
+
+def test_small_workspace_operators_are_solved_directly(monkeypatch):
+    real, built = spla.splu, []
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: built.append(a[0].shape) or real(*a, **kw))
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    uveps = Workspace(mesh, SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3))
+    useps = Workspace(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3))
+    solvers = (uveps.u_solver, uveps.v_solver, useps.sigma_solver)
+    assert built == []  # set-up builds no factor
+    for k, solver in enumerate(solvers):
+        assert solver.direct and solver.lu is None
+        for seed in (0, 1):
+            b, x0 = _rhs_and_start(solver.A, True, seed)
+            res = solve_spd(solver, b, 1e-12, x0=x0)
+            true = float(np.linalg.norm(b - solver.A @ res.x))
+            # the LU meets the contract alone: no CG polish
+            assert res.iterations == 0
+            assert res.residual == true <= 1e-12 * np.linalg.norm(b)
+        assert len(built) == k + 1  # one factor per operator, at its first solve
+
+
+def test_direct_result_missing_the_contract_is_polished_by_cg(monkeypatch):
+    real = spla.splu
+
+    def perturbed(A, **kw):
+        lu = real(A, **kw)
+        return _Factor(lambda b: lu.solve(b) * (1.0 + 1e-6 * np.cos(np.arange(b.size))))
+
+    monkeypatch.setattr(spla, "splu", perturbed)
+    for name in ("A_v", "A_sig_red"):
+        A = SPD[name]
+        solver = linsolve.SPDSolver(A)
+        b, x0 = _rhs_and_start(A, True, seed=11)
+        res = solve_spd(solver, b, 1e-12, x0=x0)
+        # the polish is the plain CG solve started from the direct result
+        x, info, iters, r = scipy_solve_spd(A, b, 1e-12, solver.lu.solve(b))
+        assert info == 0 and iters >= 1
+        assert_bitwise(res.x, x)
+        assert (res.iterations, res.residual) == (iters, r)
+        assert r <= 1e-12 * np.linalg.norm(b)
+
+
+def test_failed_polish_raises_the_true_residual(monkeypatch):
+    # singular pure-Neumann stiffness and a b with a constant component, as
+    # in test_exhausted_solves_raise_scipy_residual: no x meets the contract
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    A = fem.forms(mesh).S.tocsr()
+    b, _ = _rhs_and_start(A, False, seed=9)
+    guess = np.linspace(0.0, 1.0, b.size)
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: _Factor(lambda rhs: guess.copy()))
+    solver = linsolve.SPDSolver(A)
+    assert solver.direct
+    with pytest.raises(SolverError) as exc:
+        solve_spd(solver, b, 1e-12)
+    _, info, iters, r = scipy_solve_spd(A, b, 1e-12, guess)
+    assert info == iters == 10 * b.size
+    assert (exc.value.residual, exc.value.iterations) == (r, iters)
+
+
+def _bare(ws):
+    """``ws`` with each SPDSolver replaced by its bare matrix: every SPD
+    solve then takes the matrix path of solve_spd, which builds the Jacobi
+    vector per call."""
+    for attr in ("u_solver", "v_solver", "sigma_solver"):
+        if hasattr(ws, attr):
+            setattr(ws, attr, getattr(ws, attr).A)
+    return ws
+
+
+def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
+    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 48)  # the 6x6 mesh has 49 nodes
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    for name in sorted(SPD):
+        A = SPD[name]
+        solver = linsolve.SPDSolver(A)
+        assert not solver.direct
+        b, x0 = _rhs_and_start(A, True, seed=12)
+        res, ref = solve_spd(solver, b, 1e-12, x0=x0), solve_spd(A, b, 1e-12, x0=x0)
+        assert_bitwise(res.x, ref.x)
+        assert (res.iterations, res.residual) == (ref.iterations, ref.residual)
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    ic = get_preset("gauss")
+    for cfg in (
+        SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
+        SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
+    ):
+        state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+        cached = list(Workspace(mesh, cfg).march(state, 3))
+        bare = list(_bare(Workspace(mesh, cfg)).march(state, 3))
+        for (_, got, rep), (_, ref, ref_rep) in zip(cached, bare):
+            assert rep == ref_rep
+            for field in ("u", "v", "sigma"):
+                if getattr(ref, field) is not None:
+                    assert_bitwise(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_jacobi_runs_once_per_operator(direct, monkeypatch):
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10)
+    ic = get_preset("gauss")
+    state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+    if not direct:
+        monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 0)
+    real, calls = linsolve._jacobi, []
+    monkeypatch.setattr(linsolve, "_jacobi", lambda A: calls.append(A.shape) or real(A))
+    ws = Workspace(mesh, cfg)
+    reports = [rep for _, _, rep in ws.march(state, 5)]
+    assert sum(rep.iterations for rep in reports) >= 10
+    # A_v and A_sig_red, each once
+    assert calls == [ws.A_v.shape, ws.A_sig_red.shape]

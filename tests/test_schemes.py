@@ -13,6 +13,7 @@ from chemorepfem import (
     fem,
     get_preset,
     init_state,
+    linsolve,
     mass,
 )
 from chemorepfem._oracle import DenseOracle
@@ -296,3 +297,37 @@ def test_step_determinism():
     assert np.array_equal(outs[0].u, outs[1].u)
     assert np.array_equal(outs[0].v, outs[1].v)
     assert np.array_equal(outs[0].sigma, outs[1].sigma)
+
+
+# us0 runs at dt = 1e-4, its coarse-tight benchmark leg: at dt = 1e-2 its
+# 18-56 Picard iterates per step amplify any change inside the linear
+# contract.  CG alone at linear_tol 1e-13 instead of 1e-12 moves the counts
+# of steps 3-5 there (30, 56, 26 -> 31, 59, 24) and the state by 1.7e-10.
+@pytest.mark.parametrize(
+    "scheme,eps,dt",
+    [("uv", None, 1e-2), ("uveps", 1e-3, 1e-2), ("useps", 1e-3, 1e-2), ("us0", None, 1e-4)],
+)
+def test_factored_and_cg_solvers_step_alike(scheme, eps, dt, monkeypatch):
+    # at nx = 20 every constant SPD operator is under linsolve's size bound
+    # and solved by its LU; a bound of 0 puts the same Workspace on CG
+    mesh = build_rect_mesh(20, 20, 2.0, 2.0)
+    cfg = make(scheme, eps=eps, dt=dt, picard_tol=1e-10, picard_max=500)
+    pre = get_preset("gauss")
+    st0 = init_state(mesh, cfg, pre.u0, pre.v0, pre.grad_v0)
+    m0 = mass(mesh, st0.u)
+    runs = []
+    for bound in (linsolve._DIRECT_MAX_N, 0):
+        monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", bound)
+        ops = Workspace(mesh, cfg)
+        assert ops.v_solver.direct == (bound > 0)
+        iters = []
+        for _, st, rep in ops.march(st0, 5):
+            iters.append(rep.iterations)
+            assert abs(mass(mesh, st.u) - m0) <= 1e-10 * abs(m0)
+        runs.append((st, iters))
+    (lu, lu_iters), (cg, cg_iters) = runs
+    assert lu_iters == cg_iters
+    for field in ("u", "v", "sigma"):
+        a, b = getattr(lu, field), getattr(cg, field)
+        if b is not None:
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
