@@ -22,21 +22,22 @@ EXIT_BAD_CONFIG = 3
 
 
 def _add_config_args(sub):
+    # values stay text: resolve_config types and checks them as it does a file's
     sub.add_argument("--config", help="flat 'key = value' configuration file")
-    sub.add_argument("--scheme", choices=SCHEMES)
-    sub.add_argument("--p", type=float, help="production exponent, 1 < p < 2")
-    sub.add_argument("--eps", type=float, help="regularization parameter (uveps/useps)")
-    sub.add_argument("--dt", type=float, help="time step")
-    sub.add_argument("--steps", type=int, help="number of time steps")
-    sub.add_argument("--nx", type=int)
-    sub.add_argument("--ny", type=int)
-    sub.add_argument("--lx", type=float)
-    sub.add_argument("--ly", type=float)
+    sub.add_argument("--scheme", help=f"one of {', '.join(SCHEMES)}")
+    sub.add_argument("--p", help="production exponent, 1 < p < 2")
+    sub.add_argument("--eps", help="regularization parameter (uveps/useps)")
+    sub.add_argument("--dt", help="time step")
+    sub.add_argument("--steps", help="number of time steps")
+    sub.add_argument("--nx")
+    sub.add_argument("--ny")
+    sub.add_argument("--lx")
+    sub.add_argument("--ly")
     sub.add_argument("--ic", help="initial condition: gauss, cosine, or constant:<cu>:<cv>")
-    sub.add_argument("--picard-tol", dest="picard_tol", type=float)
-    sub.add_argument("--picard-max", dest="picard_max", type=int)
-    sub.add_argument("--linear-tol", dest="linear_tol", type=float)
-    sub.add_argument("--output-every", dest="output_every", type=int)
+    sub.add_argument("--picard-tol", dest="picard_tol")
+    sub.add_argument("--picard-max", dest="picard_max")
+    sub.add_argument("--linear-tol", dest="linear_tol")
+    sub.add_argument("--output-every", dest="output_every")
     sub.add_argument("--out", dest="out_dir", help="output directory")
 
 
@@ -94,14 +95,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    no_steps = args.steps == 0
+    no_steps = runner._coerce("steps", args.steps) == 0
     if no_steps:
         args.steps = 1  # satisfy run-config validation, then advance nothing
     rc = _resolve(args)
+    known = ("u", "v", "sigma")
+    which = tuple(args.fields.split(",")) if args.fields else known
+    unknown = [name for name in which if name not in known]
+    if unknown:
+        raise runner.ConfigError(f"unknown field(s) {unknown}; choose among u, v, sigma")
     ops, state = runner.start(rc)
     for _, state, _ in ops.march(state, 0 if no_steps else rc.steps):
         pass
-    which = tuple(args.fields.split(",")) if args.fields else ("u", "v", "sigma")
     path = vtkio.dump_field(ops.mesh, state, args.vtk_out, which=which)
     print(f"dump: wrote {path} at step {state.step}")
     return EXIT_OK

@@ -130,13 +130,13 @@ def residual_RE(
     cfg: SchemeConfig,
     prev: Tuple[np.ndarray, np.ndarray],
     curr: Tuple[np.ndarray, np.ndarray],
-    laplacian: str = "lumped",
 ) -> float:
     """Numerical residual of the continuous energy law between two steps.
 
     RE = d_t E_e + (4/p) * ||grad I((u_+)^{p/2})||^2 + ||lap_h v||^2
-         + ||grad v||^2, evaluated at the current step; negative values mean
-    the step was dissipative with respect to the exact energy.
+         + ||grad v||^2, evaluated at the current step with the lumped
+    lap_h; negative values mean the step was dissipative with respect to
+    the exact energy.
     """
     u_prev, v_prev = prev
     u, v = curr
@@ -148,7 +148,7 @@ def residual_RE(
     root = np.power(np.maximum(np.asarray(u, dtype=float), 0.0), 0.5 * p)
     g = fem.grad_p1(mesh, root)
     grad_term = (4.0 / p) * float(mesh.areas @ np.einsum("ed,ed->e", g, g))
-    return d_e + grad_term + discrete_laplacian_sq(mesh, v, laplacian) + _grad_sq(mesh, v)
+    return d_e + grad_term + discrete_laplacian_sq(mesh, v) + _grad_sq(mesh, v)
 
 
 def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: SchemeState) -> float:

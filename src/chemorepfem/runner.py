@@ -54,7 +54,7 @@ class RunConfig:
 
     scheme: str = "uv"
     p: float = 1.5
-    eps: Optional[float] = None
+    eps: Optional[float] = SchemeConfig.eps
     dt: float = 1e-4
     steps: int = 500
     nx: int = 20
@@ -62,9 +62,9 @@ class RunConfig:
     lx: float = 2.0
     ly: float = 2.0
     ic: str = "gauss"
-    picard_tol: float = 1e-3
-    picard_max: int = 200
-    linear_tol: float = 1e-12
+    picard_tol: float = SchemeConfig.picard_tol
+    picard_max: int = SchemeConfig.picard_max
+    linear_tol: float = SchemeConfig.linear_tol
     output_every: int = 1
     out_dir: str = "runs/out"
 

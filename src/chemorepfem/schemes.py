@@ -181,7 +181,13 @@ def _anderson_mix(u, f, d_u, d_f, beta):
 
 class Workspace:
     """Per-(mesh, config) operator cache and stepping engine: build it
-    once and iterate :meth:`march`, the time loop over :meth:`step`."""
+    once and iterate :meth:`march`, the time loop over :meth:`step`.
+
+    Every scheme is stepped by three solves, each of which branches on the
+    scheme itself: :meth:`_solve_u` (the u-equation with its transport frozen),
+    :meth:`_solve_v` (the chemical step, the scheme unknown of uv/uveps and
+    the recovered v of useps/us0) and :meth:`_solve_sigma` (the
+    sigma-equation of useps/us0)."""
 
     def __init__(self, mesh, cfg: SchemeConfig):
         self.mesh = mesh
@@ -220,111 +226,75 @@ class Workspace:
             den = self.fs.l2_norm(old)
         return num / max(den, _CHANGE_FLOOR)
 
-    # -- shared solves ----------------------------------------------------------
+    # -- the three solves of a Picard iterate ----------------------------------
 
-    def _solve_sigma(self, rhs_full, sigma_guess):
-        free = self.fs.sigma_free
-        x0 = fem.stack_vec(sigma_guess)[free]
-        res = linsolve.solve_spd(self.sigma_solver, rhs_full[free], self.cfg.linear_tol, x0=x0)
-        full = np.zeros(2 * self.mesh.n_nodes)
-        full[free] = res.x
-        return fem.unstack_vec(full), res.iterations
-
-    def _recover(self, u_new, v_prev, x0=None):
-        """Chemical of a sigma scheme: one screened heat solve with the
-        scheme's production load, from the new density and previous v."""
-        cfg = self.cfg
-        k = cfg.dt
-        if cfg.scheme == "useps":
-            load = cfg.p * (cfg.p - 1.0) * fem.lumped_load(self.mesh, self.pot.f_value(u_new))
-        elif cfg.scheme == "us0":
-            load = fem.lumped_load(self.mesh, np.power(_pos(u_new), cfg.p))
+    def _solve_u(self, state, ul, wl):
+        """The u-equation: one backward-Euler step from ``state`` with the
+        transport frozen at the iterate (``ul``, ``wl``)."""
+        cfg, mesh, fs = self.cfg, self.mesh, self.fs
+        p, k = cfg.p, cfg.dt
+        if cfg.scheme == "uveps":
+            w = lambda2(self.pot, mesh, ul) * fem.grad_p1(mesh, wl)
+            rhs = fs.D * state.u / k - fem.gradient_load(mesh, w)
+            r = linsolve.solve_spd(self.u_solver, rhs, cfg.linear_tol, x0=ul)
+            return r.x, r.iterations
+        if cfg.scheme == "uv":
+            rhs = (fs.M @ state.u) / k
+            conv = fem.convection_u(mesh, fem.grad_p1(mesh, wl), kind="element")
         else:
-            raise ValueError(f"scheme {cfg.scheme!r} carries v itself; nothing to recover")
-        rhs = (self.fs.M @ v_prev) / k + load
-        return linsolve.solve_spd(self.v_solver, rhs, self.cfg.linear_tol, x0=x0)
-
-    # -- Picard half-iterates: u-solve with frozen data, then v/sigma-solve ----
-
-    def _usolve_uv(self, state, ul, vl):
-        r = linsolve.solve_general(
-            self.A_u + fem.convection_u(self.mesh, fem.grad_p1(self.mesh, vl), kind="element"),
-            (self.fs.M @ state.u) / self.cfg.dt,
-            self.cfg.linear_tol,
-            x0=ul,
-        )
+            rhs = fs.D * state.u / k
+            conv = fem.convection_u(mesh, wl, kind="nodal")
+        if cfg.scheme == "us0":
+            c, g = us0_diffusion_terms(mesh, ul, p)
+            # frozen degenerate diffusion on the right, linear stabilizer on the left
+            rhs = rhs + fs.S @ ul - fem.weighted_gradient_load(mesh, c, g) / (p - 1.0)
+        r = linsolve.solve_general(self.A_u + conv, rhs, cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
-    def _wsolve_uv(self, state, u_new, vl):
-        load = fem.lumped_load(self.mesh, np.power(_pos(u_new), self.cfg.p))
-        r = linsolve.solve_spd(
-            self.v_solver, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
-        )
+    def _solve_v(self, v_prev, u, x0):
+        """The chemical step (M v)/k + (S + M) v = production(u): the
+        unknown of uv/uveps and the recovered v of useps/us0."""
+        cfg = self.cfg
+        p = cfg.p
+        if cfg.scheme == "uveps":
+            # interpolated-potential load with the exact P1 x P1 product: the
+            # energy cancellation against the chemotaxis term needs this form
+            load = p * (p - 1.0) * (self.fs.M @ self.pot.f_value(u))
+        elif cfg.scheme == "useps":
+            load = p * (p - 1.0) * fem.lumped_load(self.mesh, self.pot.f_value(u))
+        else:
+            load = fem.lumped_load(self.mesh, np.power(_pos(u), p))
+        rhs = (self.fs.M @ v_prev) / cfg.dt + load
+        r = linsolve.solve_spd(self.v_solver, rhs, cfg.linear_tol, x0=x0)
         return r.x, r.iterations
 
-    def _usolve_uveps(self, state, ul, vl):
-        w = lambda2(self.pot, self.mesh, ul) * fem.grad_p1(self.mesh, vl)
-        rhs = self.fs.D * state.u / self.cfg.dt - fem.gradient_load(self.mesh, w)
-        r = linsolve.solve_spd(self.u_solver, rhs, self.cfg.linear_tol, x0=ul)
-        return r.x, r.iterations
-
-    def _wsolve_uveps(self, state, u_new, vl):
-        p = self.cfg.p
-        # interpolated-potential load with the exact P1 x P1 product: the
-        # energy cancellation against the chemotaxis term needs this form
-        load = p * (p - 1.0) * (self.fs.M @ self.pot.f_value(u_new))
-        r = linsolve.solve_spd(
-            self.v_solver, (self.fs.M @ state.v) / self.cfg.dt + load, self.cfg.linear_tol, x0=vl
-        )
-        return r.x, r.iterations
-
-    def _usolve_useps(self, state, ul, sl):
-        r = linsolve.solve_general(
-            self.A_u + fem.convection_u(self.mesh, sl, kind="nodal"),
-            self.fs.D * state.u / self.cfg.dt,
-            self.cfg.linear_tol,
-            x0=ul,
-        )
-        return r.x, r.iterations
-
-    def _wsolve_useps(self, state, u_new, sl):
-        g = fem.grad_p1(self.mesh, self.pot.f_prime(u_new))
-        load = self.cfg.p * fem.mixed_vector_load(self.mesh, u_new, g)
-        rhs = (self.fs.M2 @ fem.stack_vec(state.sigma)) / self.cfg.dt + load
-        return self._solve_sigma(rhs, sl)
-
-    def _usolve_us0(self, state, ul, sl):
-        p = self.cfg.p
-        c, g = us0_diffusion_terms(self.mesh, ul, p)
-        # frozen degenerate diffusion on the right, linear stabilizer on the left
-        rhs = (
-            self.fs.D * state.u / self.cfg.dt
-            + self.fs.S @ ul
-            - fem.weighted_gradient_load(self.mesh, c, g) / (p - 1.0)
-        )
-        r = linsolve.solve_general(
-            self.A_u + fem.convection_u(self.mesh, sl, kind="nodal"),
-            rhs,
-            self.cfg.linear_tol,
-            x0=ul,
-        )
-        return r.x, r.iterations
-
-    def _wsolve_us0(self, state, u_new, sl):
-        p = self.cfg.p
-        gp = fem.grad_p1(self.mesh, np.power(_pos(u_new), p - 1.0))
-        load = (p / (p - 1.0)) * fem.mixed_vector_load(self.mesh, u_new, gp)
-        rhs = (self.fs.M2 @ fem.stack_vec(state.sigma)) / self.cfg.dt + load
-        return self._solve_sigma(rhs, sl)
+    def _solve_sigma(self, sigma_prev, u, x0):
+        """The sigma-equation of useps/us0, solved on the free DOFs."""
+        cfg, mesh = self.cfg, self.mesh
+        p = cfg.p
+        if cfg.scheme == "useps":
+            coef, h = p, self.pot.f_prime(u)
+        else:
+            coef, h = p / (p - 1.0), np.power(_pos(u), p - 1.0)
+        load = coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
+        rhs = (self.fs.M2 @ fem.stack_vec(sigma_prev)) / cfg.dt + load
+        free = self.fs.sigma_free
+        x0_free = fem.stack_vec(x0)[free]
+        r = linsolve.solve_spd(self.sigma_solver, rhs[free], cfg.linear_tol, x0=x0_free)
+        full = np.zeros(2 * mesh.n_nodes)
+        full[free] = r.x
+        return fem.unstack_vec(full), r.iterations
 
     # -- stepping -----------------------------------------------------------------
 
     def step(self, state: SchemeState):
         """One backward-Euler step via Picard; returns (state, report).
 
-        The v/sigma half-solve depends on the fresh u alone (its previous
-        value is only the Krylov initial guess), so from the second iterate
-        on the loop iterates the map u -> usolve(u, wsolve(u)).  The
+        Each iterate calls :meth:`_solve_u`, then :meth:`_solve_v` (uv,
+        uveps) or :meth:`_solve_sigma` (useps, us0) with the fresh u.  That
+        second solve depends on the fresh u alone (its previous value is
+        only the Krylov initial guess), so from the second iterate on the
+        loop iterates the map u -> solve_u(u, solve_w(u)).  The
         u-updates before iterate ``_ANDERSON_START`` are relaxed
         dynamically (Irons-Tuck): with the factor capped at 1 this
         reproduces the plain iteration whenever it contracts with a
@@ -337,22 +307,22 @@ class Workspace:
         bitwise what damping alone gives.  Every iterate is an affine
         combination of iterates and u-solve results, so the lumped mass is
         kept, and the fixed point is untouched.  For the sigma schemes the
-        returned ``v`` is the recovered chemical (one extra SPD solve), so
-        diagnostics always see a consistent (u, v, sigma) triple.
+        returned ``v`` is the recovered chemical (one more :meth:`_solve_v`
+        from the previous v), so diagnostics always see a consistent
+        (u, v, sigma) triple.
         """
         cfg = self.cfg
-        usolve = getattr(self, f"_usolve_{cfg.scheme}")
-        wsolve = getattr(self, f"_wsolve_{cfg.scheme}")
         vec = cfg.uses_sigma
+        solve_w = self._solve_sigma if vec else self._solve_v
         ul = state.u
-        wl = state.sigma if vec else state.v
+        w_prev = wl = state.sigma if vec else state.v
         max_solver = 0
         change = np.inf
         omega = 1.0
         u_prev = f_prev = None
         d_u, d_f = [], []  # Anderson history, oldest first
         for it in range(1, cfg.picard_max + 1):
-            u_hat, it_u = usolve(state, ul, wl)
+            u_hat, it_u = self._solve_u(state, ul, wl)
             f = u_hat - ul
             if it < _ANDERSON_START:
                 if f_prev is not None:
@@ -368,7 +338,7 @@ class Workspace:
                     del d_u[0], d_f[0]
                 u1 = _anderson_mix(ul, f, d_u, d_f, omega)
             u_prev, f_prev = ul, f
-            w1, it_w = wsolve(state, u1, wl)
+            w1, it_w = solve_w(w_prev, u1, wl)
             max_solver = max(max_solver, it_u, it_w)
             change = max(self._change(u1, ul, False), self._change(w1, wl, vec))
             ul, wl = u1, w1
@@ -380,9 +350,8 @@ class Workspace:
             raise PicardError(cfg.scheme, state.step + 1, report, bad)
         new = self._pack(state, ul, wl)
         if vec:
-            rec = self._recover(new.u, state.v, x0=state.v)
-            new.v = rec.x
-            max_solver = max(max_solver, rec.iterations)
+            new.v, it_v = self._solve_v(state.v, new.u, x0=state.v)
+            max_solver = max(max_solver, it_v)
         return new, PicardReport(it, change, max_solver)
 
     def march(self, state: SchemeState, steps: int):

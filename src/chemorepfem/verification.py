@@ -199,12 +199,12 @@ def _law_rel(ops, prev, state):
 _GAUSS_RUNS = [("uv", None), ("uveps", 1e-3), ("useps", 1e-3), ("us0", None)]
 
 
-def check_mass_conservation(steps=200) -> CheckResult:
+def check_mass_conservation() -> CheckResult:
     def body():
         details = []
         ok = True
         for scheme, eps in _GAUSS_RUNS:
-            rc = replace(_BASE, scheme=scheme, eps=eps, steps=steps)
+            rc = replace(_BASE, scheme=scheme, eps=eps)
             ops, state0, masses, failure = _leg(rc, _mass)
             if failure:
                 ok = False
@@ -219,20 +219,15 @@ def check_mass_conservation(steps=200) -> CheckResult:
     return _result("4 mass conservation", body)
 
 
-def energy_law_legs(steps=200):
-    """All (scheme, eps, dt) legs of the energy-law criterion."""
-    legs = []
-    for scheme, eps in _GAUSS_RUNS:
-        if scheme == "uv":
-            continue  # no discrete energy law for plain backward Euler
-        for dt in (1e-4, 1e-2):
-            legs.append((scheme, eps, dt, steps))
-    return legs
+def energy_law_legs():
+    """All (scheme, eps, dt) legs of the energy-law criterion; plain
+    backward Euler (uv) has no discrete energy law."""
+    return [(s, eps, dt) for s, eps in _GAUSS_RUNS if s != "uv" for dt in (1e-4, 1e-2)]
 
 
-def energy_law_leg_result(scheme, eps, dt, steps=200):
+def energy_law_leg_result(scheme, eps, dt):
     """One leg: returns (passed, detail). Nonpositive LHS up to 1e-8 rel."""
-    rc = replace(_BASE, scheme=scheme, eps=eps, dt=dt, steps=steps)
+    rc = replace(_BASE, scheme=scheme, eps=eps, dt=dt)
     _, _, laws, failure = _leg(rc, _law_rel)
     if failure:
         return False, f"{scheme} dt={dt:g}: {failure}"
@@ -240,12 +235,12 @@ def energy_law_leg_result(scheme, eps, dt, steps=200):
     return worst <= 1e-8, f"{scheme} dt={dt:g}: worst rel LHS {worst:+.2e} (tol 1e-8)"
 
 
-def check_energy_laws(steps=200) -> CheckResult:
+def check_energy_laws() -> CheckResult:
     def body():
         ok = True
         details = []
-        for scheme, eps, dt, n in energy_law_legs(steps):
-            leg_ok, detail = energy_law_leg_result(scheme, eps, dt, n)
+        for scheme, eps, dt in energy_law_legs():
+            leg_ok, detail = energy_law_leg_result(scheme, eps, dt)
             ok = ok and leg_ok
             details.append(("PASS " if leg_ok else "FAIL ") + detail)
         return ok, "; ".join(details)
@@ -283,9 +278,9 @@ def _cosine_leg(rc):
     return [ee0] + [ee for ee, _ in values], [re for _, re in values], failure
 
 
-def cosine_traces(steps=300):
+def cosine_traces():
     return {
-        (scheme, eps): _cosine_leg(replace(_COSINE, scheme=scheme, eps=eps, steps=steps))
+        (scheme, eps): _cosine_leg(replace(_COSINE, scheme=scheme, eps=eps))
         for scheme, eps in _COSINE_RUNS
     }
 
@@ -310,7 +305,7 @@ def check_exact_energy_monotone(traces=None) -> CheckResult:
     return _result("6 exact-energy monotonicity", body)
 
 
-def check_residual_signs(traces=None, refinement_evidence=True) -> CheckResult:
+def check_residual_signs(traces=None) -> CheckResult:
     def body():
         trs = traces if traces is not None else cosine_traces()
         ok = True
@@ -340,7 +335,7 @@ def check_residual_signs(traces=None, refinement_evidence=True) -> CheckResult:
                     f"uveps/eps={eps}: {int(np.sum(re > 0))} steps with RE > 0 "
                     "(scale-dependent, not gated)"
                 )
-        if us0_failed and refinement_evidence:
+        if us0_failed:
             # RE is the continuous law evaluated on discrete fields, and no
             # discrete law fixes its sign: refining the mesh only delays its
             # positive phase (from step 211 at nx=20, 306 at nx=50, so this
@@ -363,7 +358,7 @@ def _min_and_neg_part(ops, prev, state):
     return float(state.u.min()), diagnostics.neg_part_l2(ops.mesh, state.u)
 
 
-def check_positivity_trend(steps=200) -> CheckResult:
+def check_positivity_trend() -> CheckResult:
     def body():
         ok = True
         details = []
@@ -371,7 +366,7 @@ def check_positivity_trend(steps=200) -> CheckResult:
             for scheme in filter(SchemeConfig.takes_eps, SCHEMES):
                 vals = {}
                 for eps in (1e-3, 1e-5):
-                    rc = replace(_BASE, scheme=scheme, p=p, eps=eps, steps=steps, picard_tol=1e-3)
+                    rc = replace(_BASE, scheme=scheme, p=p, eps=eps, picard_tol=1e-3)
                     _, _, values, failure = _leg(rc, _min_and_neg_part)
                     if failure:
                         return False, f"{scheme} p={p} eps={eps}: {failure}"

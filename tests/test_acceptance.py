@@ -36,9 +36,7 @@ def test_criterion_4_mass_conservation():
     _report(verification.check_mass_conservation(), budget=60.0)
 
 
-@pytest.mark.parametrize(
-    "scheme,eps,dt", [(s, e, d) for s, e, d, _ in verification.energy_law_legs()]
-)
+@pytest.mark.parametrize("scheme,eps,dt", verification.energy_law_legs())
 def test_criterion_5_energy_laws(scheme, eps, dt):
     passed, detail = verification.energy_law_leg_result(scheme, eps, dt)
     print(f"[{'PASS' if passed else 'FAIL'}] criterion 5 leg: {detail}")

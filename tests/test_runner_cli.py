@@ -417,6 +417,39 @@ def test_cli_rejects_bad_settings(tmp_path, capsys, monkeypatch, arg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "dump"])
+@pytest.mark.parametrize("arg", ["--nx=abc", "--scheme=bogus", "--steps=abc", "--p=one"])
+def test_cli_flags_are_typed_by_run_config(tmp_path, capsys, command, arg):
+    # a flag's value is converted and checked as a config file's is: exit 3
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "run" else ["--vtk-out", str(out / "f.vtk")]
+    code = main([command, "--nx", "4", "--ny", "4", arg, *target])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_dump_rejects_unknown_field_before_stepping(tmp_path, capsys, monkeypatch):
+    def no_work(rc):
+        raise AssertionError("dump started a run before checking its fields")
+
+    monkeypatch.setattr(runner, "start", no_work)
+    vtk = tmp_path / "f.vtk"
+    args = ["--steps", "2", "--nx", "4", "--ny", "4", "--fields", "u,bogus"]
+    code = main(["dump", *args, "--vtk-out", str(vtk)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: ") and "bogus" in err
+    assert not vtk.exists()
+
+
+def test_run_config_shares_scheme_config_defaults():
+    scheme_defaults = {f.name: f.default for f in fields(SchemeConfig)}
+    for key in ("eps", "picard_tol", "picard_max", "linear_tol"):
+        assert getattr(RunConfig(), key) == scheme_defaults[key], key
+
+
 def test_cli_dump_and_sweep(tmp_path, capsys):
     vtk = tmp_path / "f.vtk"
     code = main(

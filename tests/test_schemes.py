@@ -113,20 +113,18 @@ def test_sigma_scheme_constant_fixed_point(scheme, eps):
         assert np.abs(st.sigma).max() <= 1e-11
 
 
-def test_recover_v_decay_for_zero_density():
-    # u = 0 in the plain-power mode: v^n = v^{n-1}/(1+k) for constant v
+@pytest.mark.parametrize("scheme", ["us0", "uv"])
+def test_recover_v_decay_for_zero_density(scheme):
+    # u = 0 in the plain-power mode: v^n = v^{n-1}/(1+k) for constant v;
+    # one chemical solve serves us0's recovery and uv's v-equation
     mesh = build_rect_mesh(4, 4, 2.0, 2.0)
-    cfg = make("us0", dt=0.5, picard_tol=1e-12, linear_tol=1e-14)
+    cfg = make(scheme, dt=0.5, picard_tol=1e-12, linear_tol=1e-14)
     ops = Workspace(mesh, cfg)
-    from chemorepfem.schemes import SchemeState
-
-    state = SchemeState(
-        u=np.zeros(mesh.n_nodes), v=np.full(mesh.n_nodes, 3.0), sigma=None, step=1, time=0.5
-    )
-    v1 = ops._recover(state.u, state.v, x0=state.v).x
+    u, v = np.zeros(mesh.n_nodes), np.full(mesh.n_nodes, 3.0)
+    v1, _ = ops._solve_v(v, u, x0=v)
     assert v1 == pytest.approx(np.full(mesh.n_nodes, 3.0 / 1.5), rel=1e-12)
     # determinism: identical inputs give bitwise-identical solves
-    v2 = ops._recover(state.u, state.v, x0=state.v).x
+    v2, _ = ops._solve_v(v, u, x0=v)
     assert np.array_equal(v1, v2)
 
 
