@@ -1,7 +1,7 @@
 """Command-line interface: run, sweep, verify, dump.
 
 Exit codes: 0 success, 1 verification failure, 2 non-convergence (Picard
-or linear solver) or non-finite values, 3 bad configuration.
+or linear solver) or non-finite values, 3 bad configuration or usage.
 """
 
 from __future__ import annotations
@@ -60,18 +60,19 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _split_list(text, cast):
-    return [cast(tok) for tok in text.split(",") if tok]
+def _axis(text, key, default) -> list:
+    """A comma-separated sweep axis, each value typed as the config key is."""
+    return [runner._coerce(key, tok) for tok in text.split(",") if tok] if text else [default]
 
 
 def _cmd_sweep(args) -> int:
     base = _resolve(args)
-    schemes = _split_list(args.schemes, str) if args.schemes else [base.scheme]
-    ps = _split_list(args.ps, float) if args.ps else [base.p]
+    schemes = _axis(args.schemes, "scheme", base.scheme)
+    ps = _axis(args.ps, "p", base.p)
     file_eps = runner.parse_config_file(args.config).get("eps") if args.config else None
     # the eps given, which base has dropped if its own scheme takes none
     given_eps = runner._coerce("eps", args.eps if args.eps is not None else file_eps)
-    epss = _split_list(args.epss, float) if args.epss else [given_eps]
+    epss = _axis(args.epss, "eps", given_eps)
     manifest = runner.sweep(base, schemes, ps, epss, args.sweep_out, jobs=args.jobs)
     print(f"sweep manifest: {manifest}")
     with open(manifest) as fp:
@@ -112,8 +113,14 @@ def _cmd_dump(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a bad configuration, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chemorepfem",
         description=(
             "Energy-stable P1 finite element schemes for the chemo-repulsion "

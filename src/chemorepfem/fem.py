@@ -24,7 +24,6 @@ __all__ = [
     "lumped_mass_diag",
     "consistent_mass",
     "stiffness",
-    "op_Ah",
     "vector_mass",
     "op_Bh",
     "sigma_fixed_mask",
@@ -108,11 +107,6 @@ def stiffness(mesh) -> sp.csr_matrix:
     """P1 stiffness matrix; symmetric PSD with constants in the kernel."""
     local = mesh.areas[:, None, None] * np.einsum("eik,ejk->eij", mesh.grads, mesh.grads)
     return _scatter_matrix(mesh, local)
-
-
-def op_Ah(mesh) -> sp.csr_matrix:
-    """Matrix of the H1 product (grad u, grad v) + (u, v); symmetric PD."""
-    return stiffness(mesh) + consistent_mass(mesh)
 
 
 def vector_mass(mesh) -> sp.csr_matrix:
@@ -352,6 +346,7 @@ class FormSet:
 
     @property
     def A(self) -> sp.csr_matrix:
+        """The H1 product (grad u, grad v) + (u, v); symmetric PD."""
         return self._get("A", lambda m: self.S + self.M)
 
     @property

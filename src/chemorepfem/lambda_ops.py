@@ -29,23 +29,21 @@ def _leg_values(mesh, u, fp, num, scale, lim):
     """Leg entries scale * (num_i - num_0) / (fp_i - fp_0), or lim_0 where
     u_i and u_0 coincide, from per-node values gathered per element.
 
-    The potential acts node by node, so evaluating it once per node and
-    gathering gives what evaluating it at both ends of every leg gives.
-    Leading batch axes allowed: (..., n_nodes) -> (..., n_elements, 2).
+    Column 0 is the x-leg a0->a2, column 1 the y-leg a0->a1, as the mesh
+    lays out every element.  The potential acts node by node, so one
+    evaluation per node, gathered, gives what evaluating it at both ends of
+    every leg gives.  Batch axes: (..., n_nodes) -> (..., n_elements, 2).
     """
     el = mesh.elements
     u0, fp0, num0, lim0 = (a[..., el[:, 0]] for a in (u, fp, num, lim))
-    out = np.empty(u.shape[:-1] + (mesh.n_elements, 2))
-    rows = np.arange(mesh.n_elements)
-    for leg in (1, 2):
-        nodes = el[:, leg]
+    legs = []
+    for nodes in (el[:, 2], el[:, 1]):
         du = u[..., nodes] - u0
         use_quot = np.abs(du) > EQUAL_VALUES_TOL * np.maximum(1.0, np.abs(u0))
         # f_prime is strictly increasing, so the denominator only vanishes with du
         safe = np.where(use_quot, fp[..., nodes] - fp0, 1.0)
-        vals = np.where(use_quot, scale * (num[..., nodes] - num0) / safe, lim0)
-        out[..., rows, mesh.leg_axis[:, leg - 1]] = vals
-    return out
+        legs.append(np.where(use_quot, scale * (num[..., nodes] - num0) / safe, lim0))
+    return np.stack(legs, axis=-1)
 
 
 def lambda1(pot, mesh, u) -> np.ndarray:

@@ -33,9 +33,9 @@ class StructuredTriMesh:
 
     Each of the nx*ny grid cells is split along its lower-left/upper-right
     diagonal, putting the right angles at the lower-right and upper-left
-    cell corners.  Element connectivity is (a0, a1, a2) with a0 the
-    right-angle vertex, counterclockwise orientation, and legs a0->a1,
-    a0->a2 axis-aligned (one per axis).
+    cell corners.  Element connectivity is (a0, a1, a2), counterclockwise,
+    with a0 the right-angle vertex: on every element the leg a0->a1 runs
+    along y and the leg a0->a2 along x.
 
     Treat instances as immutable: assembled operators are cached per mesh
     and shared across threads.
@@ -47,7 +47,6 @@ class StructuredTriMesh:
     boundary_kind : (n_nodes,) int array of INTERIOR/EDGE_X/EDGE_Y/CORNER
     areas : (n_elements,) element areas
     grads : (n_elements, 3, 2) constant gradients of the three hat functions
-    leg_axis : (n_elements, 2) global axis (0=x, 1=y) of legs a0->a1, a0->a2
     h : max element diameter (the cell hypotenuse)
     """
 
@@ -94,7 +93,6 @@ class StructuredTriMesh:
         self.boundary_kind = kind
 
         self.areas, self.grads = self._geometry()
-        self.leg_axis = self._leg_axes()
 
     # -- derived geometry ---------------------------------------------------
 
@@ -112,14 +110,6 @@ class StructuredTriMesh:
             grads[:, i, 0] = (a[:, 1] - b[:, 1]) / twice_area
             grads[:, i, 1] = (b[:, 0] - a[:, 0]) / twice_area
         return areas, grads
-
-    def _leg_axes(self):
-        p = self.nodes[self.elements]
-        axes = np.empty((self.n_elements, 2), dtype=np.int8)
-        for leg in (1, 2):
-            v = p[:, leg] - p[:, 0]
-            axes[:, leg - 1] = np.abs(v[:, 1]) > np.abs(v[:, 0])
-        return axes
 
     # -- basic queries --------------------------------------------------------
 

@@ -50,7 +50,8 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration of one simulation run."""
+    """Fully resolved configuration of one simulation run.  Like
+    ``SchemeConfig`` it checks itself: a bad setting raises ``ConfigError``."""
 
     scheme: str = "uv"
     p: float = 1.5
@@ -73,11 +74,6 @@ class RunConfig:
         # config.echo and a sweep's run names say so
         if not SchemeConfig.takes_eps(self.scheme):
             object.__setattr__(self, "eps", None)
-
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(SchemeConfig)})
-
-    def validate(self) -> "RunConfig":
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.output_every < 1:
@@ -90,7 +86,9 @@ class RunConfig:
             get_preset(self.ic)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return self
+
+    def scheme_config(self) -> SchemeConfig:
+        return SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(SchemeConfig)})
 
 
 # every configuration key with its declared type
@@ -138,7 +136,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         for key, val in source.items():
             if val is not None:
                 merged[key] = _coerce(key, val)
-    return RunConfig(**merged).validate()
+    return RunConfig(**merged)
 
 
 def _format_value(val) -> str:
@@ -219,7 +217,7 @@ def start(rc: RunConfig):
 def execute_run(rc: RunConfig) -> RunResult:
     """Run the time loop and collect records; no filesystem side effects.
     Output steps are checked for non-finite diagnostics, others for fields."""
-    ops, state = start(rc.validate())
+    ops, state = start(rc)
     records = []
     status, detail = "ok", ""
     try:
@@ -242,7 +240,6 @@ def execute_run(rc: RunConfig) -> RunResult:
 
 def run(rc: RunConfig) -> RunResult:
     """Execute and serialize one run into its output directory."""
-    rc = rc.validate()
     os.makedirs(rc.out_dir, exist_ok=True)
     result = execute_run(rc)
     write_series(os.path.join(rc.out_dir, "series.csv"), result.records)
@@ -279,13 +276,13 @@ def sweep(
     Failing runs are recorded in ``manifest.csv`` and do not stop the rest.
     Returns the manifest path.
     """
-    os.makedirs(out_dir, exist_ok=True)
     # schemes without eps drop it, so their eps-axis points share one name
     runs = {}
     for scheme, p, eps in product(schemes, ps, epss):
         rc = replace(base, scheme=scheme, p=p, eps=eps)
         name = f"{scheme}_p{p:g}_eps{_eps_tag(rc.eps)}"
-        runs.setdefault(name, replace(rc, out_dir=os.path.join(out_dir, name)).validate())
+        runs.setdefault(name, replace(rc, out_dir=os.path.join(out_dir, name)))
+    os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_worker, runs.values()))

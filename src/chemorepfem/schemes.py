@@ -330,13 +330,12 @@ class Workspace:
                     denom = float(df @ df)
                     if denom > 0.0:
                         omega = float(np.clip(-omega * (f_prev @ df) / denom, 0.05, 1.0))
-                u1 = ul + omega * f
             else:
                 d_u.append(ul - u_prev)
                 d_f.append(f - f_prev)
                 if len(d_f) > _ANDERSON_DEPTH:
                     del d_u[0], d_f[0]
-                u1 = _anderson_mix(ul, f, d_u, d_f, omega)
+            u1 = _anderson_mix(ul, f, d_u, d_f, omega)
             u_prev, f_prev = ul, f
             w1, it_w = solve_w(w_prev, u1, wl)
             max_solver = max(max_solver, it_u, it_w)
@@ -380,7 +379,7 @@ def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0=None) -> SchemeState:
     if np.min(u0n) < 0 or np.min(v0n) < 0:
         raise ValueError("initial data must be nonnegative at the mesh nodes")
     u_h = fem.project_Qh(mesh, u0n)
-    v_h = fem.project_Rh(mesh, v0, grad_v0) if callable(v0) else v0n
+    v_h = fem.project_Rh(mesh, v0, grad_v0)
     sigma = None
     if cfg.uses_sigma:
         sigma = fem.project_Qh_vec(mesh, fem.grad_p1(mesh, v_h))

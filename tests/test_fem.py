@@ -120,7 +120,7 @@ def test_stiffness_kernel_and_psd(small_mesh):
 
 
 def test_op_Ah_spd_and_decomposition(small_mesh):
-    a = fem.op_Ah(small_mesh).toarray()
+    a = fem.forms(small_mesh).A.toarray()
     assert a == pytest.approx(a.T, abs=1e-14)
     assert np.linalg.eigvalsh(a).min() > 0
     s = fem.stiffness(small_mesh).toarray()

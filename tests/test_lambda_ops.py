@@ -144,10 +144,12 @@ from chemorepfem.lambda_ops import EQUAL_VALUES_TOL  # noqa: E402
 
 
 def reference_leg_values(pot, mesh, u, quotient, limit):
-    """Per-element evaluation: the potential at the two ends of each leg."""
+    """Per-element evaluation: the potential at the two ends of each leg,
+    put in the column of the axis the leg runs along by node coordinates."""
     u = np.asarray(u, dtype=float)
     el = mesh.elements
     u0 = u[..., el[:, 0]]
+    pts = mesh.nodes[el]
     out = np.empty(u.shape[:-1] + (mesh.n_elements, 2))
     lim = limit(u0)
     rows = np.arange(mesh.n_elements)
@@ -158,7 +160,8 @@ def reference_leg_values(pot, mesh, u, quotient, limit):
         denom = pot.f_prime(ui) - pot.f_prime(u0)
         safe = np.where(use_quot, denom, 1.0)
         vals = np.where(use_quot, quotient(u0, ui, du, safe), lim)
-        out[..., rows, mesh.leg_axis[:, leg - 1]] = vals
+        d = pts[:, leg] - pts[:, 0]
+        out[..., rows, (np.abs(d[:, 1]) > np.abs(d[:, 0])).astype(int)] = vals
     return out
 
 

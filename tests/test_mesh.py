@@ -48,10 +48,10 @@ def test_right_angle_at_local_vertex_zero(nx, ny, lx, ly):
     p = m.nodes[m.elements]
     leg1 = p[:, 1] - p[:, 0]
     leg2 = p[:, 2] - p[:, 0]
-    # exact orthogonality and axis alignment, one leg per axis
+    # exact orthogonality and the fixed layout: a0->a1 along y, a0->a2 along x
     assert np.all(np.einsum("ed,ed->e", leg1, leg2) == 0.0)
-    assert np.all((leg1 == 0).any(axis=1) & (leg2 == 0).any(axis=1))
-    assert np.all(np.sort(m.leg_axis, axis=1) == [0, 1])
+    assert np.all((leg1[:, 0] == 0) & (leg1[:, 1] != 0))
+    assert np.all((leg2[:, 1] == 0) & (leg2[:, 0] != 0))
     assert np.all(m.areas > 0)  # counterclockwise
 
 
@@ -104,3 +104,48 @@ def test_boundary_classification():
     assert np.all(kind[on_h & ~on_v] == EDGE_X)
     assert np.all(kind[on_v & ~on_h] == EDGE_Y)
     assert np.all(kind[~on_v & ~on_h] == INTERIOR)
+
+
+# -- properties over random meshes -------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chemorepfem import fem  # noqa: E402
+from chemorepfem.mesh import CORNER, EDGE_X, EDGE_Y, INTERIOR  # noqa: E402
+
+meshes = st.builds(
+    build_rect_mesh,
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=meshes)
+def test_mesh_geometry_properties(m):
+    p = m.nodes[m.elements]
+    leg1, leg2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    assert np.all(leg1[:, 0] == 0.0) and np.all(leg2[:, 1] == 0.0)
+    assert np.all(m.areas > 0)
+    assert m.areas.sum() == pytest.approx(m.lx * m.ly, rel=1e-12)
+    scale = np.abs(m.grads).max(axis=1)
+    assert np.all(np.abs(m.grads.sum(axis=1)) <= 1e-14 * scale)
+    x, y = m.nodes[:, 0], m.nodes[:, 1]
+    on_v, on_h = (x == 0) | (x == m.lx), (y == 0) | (y == m.ly)
+    want = np.select([on_v & on_h, on_h, on_v], [CORNER, EDGE_X, EDGE_Y], INTERIOR)
+    assert np.array_equal(m.boundary_kind, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=meshes, seed=st.integers(0, 2**32 - 1))
+def test_form_identities(m, seed):
+    fs = fem.forms(m)
+    ones = np.ones(m.n_nodes)
+    assert fs.M @ ones == pytest.approx(fs.D, rel=1e-13)
+    assert np.all(np.abs(fs.S @ ones) <= 1e-13 * (abs(fs.S) @ ones))
+    w = np.random.default_rng(seed).normal(size=(m.n_nodes, 2))
+    c = fem.convection_u(m, w, kind="nodal")
+    assert np.all(np.abs(ones @ c) <= 1e-13 * (ones @ abs(c)))

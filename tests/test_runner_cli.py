@@ -430,6 +430,47 @@ def test_cli_flags_are_typed_by_run_config(tmp_path, capsys, command, arg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "arg", ["--ps=abc", "--ps=none", "--epss=abc", "--schemes=bogus", "--ps=3", "--epss=2"]
+)
+def test_cli_sweep_axes_are_typed_by_run_config(tmp_path, capsys, arg):
+    # an axis value is converted and checked as its config key's is: exit 3
+    out = tmp_path / "sw"
+    args = ["--nx", "4", "--ny", "4", "--schemes", "uveps", "--eps", "1e-3", arg]
+    code = main(["sweep", *args, "--sweep-out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["run", "--bogus", "1"],
+        ["run", "--nx"],
+        ["verify", "--level", "bogus"],
+        ["sweep", "--jobs", "abc"],
+    ],
+)
+def test_cli_usage_errors_exit_3(capsys, argv):
+    # argparse's own exit code, 2, is the non-convergence code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chemorepfem") and "error: " in err
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: chemorepfem")
+
+
 def test_cli_dump_rejects_unknown_field_before_stepping(tmp_path, capsys, monkeypatch):
     def no_work(rc):
         raise AssertionError("dump started a run before checking its fields")
@@ -503,6 +544,14 @@ def test_cli_dump_and_sweep(tmp_path, capsys):
             ("uv_p1.5_epsnone", "ok"),
             ("uveps_p1.5_eps0.001", "ok"),
         ]
+
+    # the eps axis takes none, as a config file's eps does
+    out = tmp_path / "sw_none"
+    axes = ["--schemes", "uv", "--epss", "none,1e-3"]
+    code = main(["sweep", *small, *axes, "--sweep-out", str(out)])
+    assert code == 0
+    with open(out / "manifest.csv") as fp:
+        assert [r["run"] for r in csv.DictReader(fp)] == ["uv_p1.5_epsnone"]
 
 
 def test_us0_cosine_residual_column_nonpositive(tmp_path):
