@@ -70,9 +70,14 @@ def _p1_pattern(mesh):
     """
     el = mesh.elements
     n = mesh.n_nodes
-    rows = np.repeat(el, 3, axis=1).ravel()
-    cols = np.tile(el, (1, 3)).ravel()
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    keys = (np.repeat(el, 3, axis=1) * n + np.tile(el, (1, 3))).ravel()
+    # np.unique's plan without its pass to invert the sort: number the runs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    keys = keys[first]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return slot, (keys % n).astype(np.int32), indptr
@@ -111,37 +116,30 @@ def stiffness(mesh) -> sp.csr_matrix:
 
 def vector_mass(mesh) -> sp.csr_matrix:
     """Block-diagonal mass for stacked vector DOFs."""
-    m = consistent_mass(mesh)
-    return sp.block_diag([m, m]).tocsr()
-
-
-def _vec_dofs(mesh):
-    el = mesh.elements
-    return np.hstack([el, el + mesh.n_nodes])  # (E,6): x-block then y-block
-
-
-def _rank_one_vec(mesh, coeff):
-    """Assemble sum_K |K| * c_K c_K^T for (E,6) per-element coefficient rows."""
-    local = mesh.areas[:, None, None] * coeff[:, :, None] * coeff[:, None, :]
-    dofs = _vec_dofs(mesh)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    n2 = 2 * mesh.n_nodes
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n2, n2)).tocsr()
+    m = forms(mesh).M
+    return sp.block_diag([m, m], format="csr")
 
 
 def op_Bh(mesh) -> sp.csr_matrix:
     """Matrix of (rot s, rot t) + (div s, div t) + (s, t) on stacked vector P1.
 
+    Both diagonal blocks are the H1 matrix ``A = S + M``.  The cross block
+    K, from the local |K| (gx gy^T - gy gx^T), is a boundary term by parts:
+    an entry within the rounding bound of its own sum, |K_ij| <= 4 eps
+    sum_e |K_e,ij|, is residue of the interior cancellation and is dropped.
+
     Returned unconstrained; restrict to the rows/columns left free by
     :func:`sigma_fixed_mask` for the zero-normal-trace space, where the
     form is an equivalent H1 inner product and the matrix is SPD.
     """
-    gx = mesh.grads[:, :, 0]
-    gy = mesh.grads[:, :, 1]
-    rot = np.hstack([-gy, gx])  # rot s = d(s_y)/dx - d(s_x)/dy, constant per element
-    div = np.hstack([gx, gy])
-    return _rank_one_vec(mesh, rot) + _rank_one_vec(mesh, div) + vector_mass(mesh)
+    gx_gy = mesh.grads[:, :, 0, None] * mesh.grads[:, :, 1][:, None, :]
+    local = mesh.areas[:, None, None] * (gx_gy - gx_gy.transpose(0, 2, 1))
+    fs = forms(mesh)
+    K = _scatter_matrix(mesh, local)
+    bound = np.bincount(fs.pattern[0], weights=np.abs(local).ravel(), minlength=K.nnz)
+    K.data[np.abs(K.data) <= 4 * np.finfo(float).eps * bound] = 0.0
+    K.eliminate_zeros()
+    return sp.bmat([[fs.A, K], [K.T, fs.A]], format="csr")
 
 
 def sigma_fixed_mask(mesh) -> np.ndarray:
@@ -253,23 +251,18 @@ def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
         return interp(mesh, v)
     if grad_v is None:
         grad_v = _fd_gradient(v)
-    pts = np.einsum("qk,ekd->eqd", _QP4, mesh.nodes[mesh.elements])  # (E,Q,2)
+    pts = _QP4 @ mesh.nodes[mesh.elements]  # (E,Q,2)
     x, y = pts[:, :, 0], pts[:, :, 1]
-    vals = np.asarray(v(x, y), dtype=float)
-    vals = np.broadcast_to(vals, x.shape)
-    gx, gy = grad_v(x, y)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), x.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
     wq = mesh.areas[:, None] * _QW4[None, :]
     # (v, phi_i): hat values at quadrature points are the barycentric coords
-    local = np.einsum("eq,qi->ei", wq * vals, _QP4)
-    # (grad v, grad phi_i): hat gradients are constant per element
-    gvec = np.stack([gx, gy], axis=-1)
-    local += np.einsum("eq,eid,eqd->ei", wq, mesh.grads, gvec)
+    local = (wq * np.asarray(v(x, y), dtype=float)) @ _QP4
+    # (grad v, grad phi_i): hat gradients are constant per element, so the
+    # rule sums the gradient of v on each element first
+    gbar = [(wq * np.asarray(g, dtype=float)).sum(axis=1) for g in grad_v(x, y)]
+    local += np.einsum("eid,ed->ei", mesh.grads, np.stack(gbar, axis=-1))
     rhs = _scatter_vector(mesh, local)
-    # the nodal interpolant is within O(h^2) of the projection: CG from it
-    # takes a fraction of the iterations it takes from zero
-    return linsolve.solve_spd(forms(mesh).A, rhs, x0=interp(mesh, v)).x
+    # solved once, so by one LU: CG takes O(1/h) iterations (linsolve table)
+    return linsolve.solve_spd(linsolve.SPDSolver(forms(mesh).A, direct=True), rhs).x
 
 
 def grad_p1(mesh, u) -> np.ndarray:

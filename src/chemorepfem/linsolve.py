@@ -12,9 +12,13 @@ reuses that operator's Jacobi vector, and an operator with at most
 minimum degree on A^T + A) built at its first solve.  A direct result
 that misses the contract is polished by CG from itself.  The choice is
 made once per operator, from its size alone, so every solve of one
-operator takes the same path and runs repeat bit for bit.  The bound
-rests on these timings (scipy 1.17.1, one BLAS thread, warm Jacobi-CG
-from a nearby start, rel_tol 1e-12; ``nx`` is the mesh):
+operator takes the same path and runs repeat bit for bit.  The H1
+operator S + M of ``fem.project_Rh`` is solved once, always by the LU.
+The bound rests on these timings (scipy 1.17.1, one BLAS thread, warm
+Jacobi-CG from a nearby start, rel_tol 1e-12; ``nx`` is the mesh; the
+H1 rows, CG from the nodal interpolant, were taken on a machine 3-5x
+slower, with the LU settings of ``_superlu``, which build the others
+in 0.55-0.75 of the time shown):
 
     n (operator, nx)       LU build      LU solve       CG solve       repays after
     441 (A_v/A_u, 20)      0.44/0.37 ms  16/12 us       233/225 us     ~2 solves
@@ -23,6 +27,8 @@ from a nearby start, rel_tol 1e-12; ``nx`` is the mesh):
     3198 (A_sig_red, 40)   18.4 ms       283 us         400 us         ~160
     25921 (A_v/A_u, 160)   35-63/42 ms   1.1-2.2/0.9 ms 2.5-2.8/2.3 ms ~40-70
     51198 (A_sig_red, 160) 1.23 s        9.8 ms         6.9 ms         never
+    441/1681 (H1, 20/40)   1.3/4.9 ms    0.1/0.3 ms     71/136 it, 2.1/6.7 ms  at once
+    25921 (H1, 160)        126 ms        6.3 ms         513-642 it, 0.21-0.28 s at once
 
 Factoring ``A_sig_red`` at nx = 40 as well cost 12% of the ``useps``/
 ``us0`` rate of a 20-step nx = 40 run and 12% more peak memory.
@@ -175,21 +181,30 @@ def _bicgstab(A, b, x0, psolve, atol, maxiter):
     return x, maxiter, maxiter
 
 
+def _superlu(factor, A, **options):
+    """``factor`` (``spla.splu`` or ``spla.spilu``) of A in SuperLU's settings
+    for the P1 pattern.  Minimum degree on A^T + A suits that symmetric
+    pattern and leaves less fill than the default COLAMD; with supernodes
+    off as well (relax = panel_size = 1) the LUs build in 0.55-0.75 of the
+    time, with the same fill, and the ILUs in about half."""
+    return factor(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1, **options)
+
+
 class SPDSolver:
-    """A constant SPD operator ``A`` prepared for repeated ``solve_spd``
-    calls: its Jacobi vector, and whether it is solved directly (at most
-    ``_DIRECT_MAX_N`` unknowns), are fixed here; the LU is built at the
+    """A constant SPD operator ``A`` prepared for ``solve_spd``: its Jacobi
+    vector and whether it is solved directly (by default, if it has at most
+    ``_DIRECT_MAX_N`` unknowns) are fixed here, and the LU is built at the
     first direct solve."""
 
-    def __init__(self, A):
+    def __init__(self, A, direct=None):
         self.A = A
         self.dinv = _jacobi(A)
-        self.direct = A.shape[0] <= _DIRECT_MAX_N
+        self.direct = A.shape[0] <= _DIRECT_MAX_N if direct is None else direct
         self.lu = None
 
     def lu_solve(self, b):
         if self.lu is None:
-            self.lu = spla.splu(sp.csc_matrix(self.A), permc_spec="MMD_AT_PLUS_A")
+            self.lu = _superlu(spla.splu, self.A)
         return self.lu.solve(b)
 
 
@@ -228,19 +243,8 @@ def _ilu(A):
     """Preconditioner solve of the u-systems: ILU, or Jacobi if SuperLU fails."""
     # Jacobi is not enough for the convection-dominated steps (strong skew
     # part makes BiCGStab itself diverge even at condition numbers ~100).
-    # Minimum degree on A^T + A suits the symmetric P1 pattern and leaves
-    # less fill than the default COLAMD; with supernodes off as well
-    # (relax = panel_size = 1) these factors build in about half the time.
     try:
-        fac = spla.spilu(
-            sp.csc_matrix(A),
-            drop_tol=1e-6,
-            fill_factor=20,
-            permc_spec="MMD_AT_PLUS_A",
-            relax=1,
-            panel_size=1,
-        )
-        return fac.solve
+        return _superlu(spla.spilu, A, drop_tol=1e-6, fill_factor=20).solve
     except RuntimeError:
         dinv = _jacobi(A)
         return lambda r: dinv * r

@@ -276,6 +276,8 @@ def sweep(
     Failing runs are recorded in ``manifest.csv`` and do not stop the rest.
     Returns the manifest path.
     """
+    if not (schemes and ps and epss) or jobs < 1:
+        raise ConfigError(f"a sweep needs a value on every axis and jobs >= 1, got jobs {jobs}")
     # schemes without eps drop it, so their eps-axis points share one name
     runs = {}
     for scheme, p, eps in product(schemes, ps, epss):

@@ -432,6 +432,14 @@ def _bare(ws):
 
 
 def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
+    # the initial states come first: the H1 projection in them factors
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    ic = get_preset("gauss")
+    cfgs = (
+        SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
+        SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
+    )
+    states = [init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0) for cfg in cfgs]
     monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 48)  # the 6x6 mesh has 49 nodes
     monkeypatch.setattr(spla, "splu", failing_splu)
     for name in sorted(SPD):
@@ -442,13 +450,7 @@ def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
         res, ref = solve_spd(solver, b, 1e-12, x0=x0), solve_spd(A, b, 1e-12, x0=x0)
         assert_bitwise(res.x, ref.x)
         assert (res.iterations, res.residual) == (ref.iterations, ref.residual)
-    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
-    ic = get_preset("gauss")
-    for cfg in (
-        SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
-        SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
-    ):
-        state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+    for cfg, state in zip(cfgs, states):
         cached = list(Workspace(mesh, cfg).march(state, 3))
         bare = list(_bare(Workspace(mesh, cfg)).march(state, 3))
         for (_, got, rep), (_, ref, ref_rep) in zip(cached, bare):

@@ -431,10 +431,13 @@ def test_cli_flags_are_typed_by_run_config(tmp_path, capsys, command, arg):
 
 
 @pytest.mark.parametrize(
-    "arg", ["--ps=abc", "--ps=none", "--epss=abc", "--schemes=bogus", "--ps=3", "--epss=2"]
+    "arg",
+    ["--ps=abc", "--ps=none", "--epss=abc", "--schemes=bogus", "--ps=3", "--epss=2"]
+    + ["--ps=,", "--schemes=,", "--jobs=0", "--jobs=-2"],
 )
 def test_cli_sweep_axes_are_typed_by_run_config(tmp_path, capsys, arg):
-    # an axis value is converted and checked as its config key's is: exit 3
+    # an axis value is converted and checked as its config key's is, and an
+    # empty axis or a job count below 1 is refused the same way: exit 3
     out = tmp_path / "sw"
     args = ["--nx", "4", "--ny", "4", "--schemes", "uveps", "--eps", "1e-3", arg]
     code = main(["sweep", *args, "--sweep-out", str(out)])
