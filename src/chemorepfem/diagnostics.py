@@ -72,17 +72,20 @@ def _grad_sq(mesh, v) -> float:
 
 
 def _sigma_sq(mesh, sigma) -> float:
-    fs = fem.forms(mesh)
-    x = fem.stack_vec(np.asarray(sigma, dtype=float))
-    return float(x @ (fs.M2 @ x))
+    sigma = np.asarray(sigma, dtype=float)
+    return float(fem.stack_vec(sigma) @ fem.vec_product(fem.forms(mesh).M, sigma))
 
 
 def _sigma_h1_sq(mesh, sigma) -> float:
     """||sigma||_0^2 + ||rot sigma||_0^2 + ||div sigma||_0^2 (the equivalent
-    H1 norm on the zero-normal-trace space)."""
-    fs = fem.forms(mesh)
-    x = fem.stack_vec(np.asarray(sigma, dtype=float))
-    return float(x @ (fs.B @ x))
+    H1 norm on the zero-normal-trace space).
+
+    ``sigma`` must have a zero normal trace, with its clamped components
+    (:func:`fem.sigma_fixed_mask`) exact zeros, as every scheme state has.
+    Then the rot/div form's x-y coupling, a boundary term, drops out and the
+    norm is the H1 product ``A`` on each component."""
+    sigma = np.asarray(sigma, dtype=float)
+    return float(fem.stack_vec(sigma) @ fem.vec_product(fem.forms(mesh).A, sigma))
 
 
 def energy_modified(mesh, pot, cfg: SchemeConfig, state: SchemeState) -> float:

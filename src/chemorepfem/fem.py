@@ -24,8 +24,6 @@ __all__ = [
     "lumped_mass_diag",
     "consistent_mass",
     "stiffness",
-    "vector_mass",
-    "op_Bh",
     "sigma_fixed_mask",
     "convection_u",
     "interp",
@@ -39,6 +37,7 @@ __all__ = [
     "mixed_vector_load",
     "stack_vec",
     "unstack_vec",
+    "vec_product",
     "forms",
     "FormSet",
 ]
@@ -114,34 +113,6 @@ def stiffness(mesh) -> sp.csr_matrix:
     return _scatter_matrix(mesh, local)
 
 
-def vector_mass(mesh) -> sp.csr_matrix:
-    """Block-diagonal mass for stacked vector DOFs."""
-    m = forms(mesh).M
-    return sp.block_diag([m, m], format="csr")
-
-
-def op_Bh(mesh) -> sp.csr_matrix:
-    """Matrix of (rot s, rot t) + (div s, div t) + (s, t) on stacked vector P1.
-
-    Both diagonal blocks are the H1 matrix ``A = S + M``.  The cross block
-    K, from the local |K| (gx gy^T - gy gx^T), is a boundary term by parts:
-    an entry within the rounding bound of its own sum, |K_ij| <= 4 eps
-    sum_e |K_e,ij|, is residue of the interior cancellation and is dropped.
-
-    Returned unconstrained; restrict to the rows/columns left free by
-    :func:`sigma_fixed_mask` for the zero-normal-trace space, where the
-    form is an equivalent H1 inner product and the matrix is SPD.
-    """
-    gx_gy = mesh.grads[:, :, 0, None] * mesh.grads[:, :, 1][:, None, :]
-    local = mesh.areas[:, None, None] * (gx_gy - gx_gy.transpose(0, 2, 1))
-    fs = forms(mesh)
-    K = _scatter_matrix(mesh, local)
-    bound = np.bincount(fs.pattern[0], weights=np.abs(local).ravel(), minlength=K.nnz)
-    K.data[np.abs(K.data) <= 4 * np.finfo(float).eps * bound] = 0.0
-    K.eliminate_zeros()
-    return sp.bmat([[fs.A, K], [K.T, fs.A]], format="csr")
-
-
 def sigma_fixed_mask(mesh) -> np.ndarray:
     """Stacked-DOF mask of components clamped by the zero normal trace.
 
@@ -163,6 +134,12 @@ def unstack_vec(x: np.ndarray) -> np.ndarray:
     """Stacked (2N,) DOF vector -> (N,2) vector field."""
     n = x.size // 2
     return np.column_stack([x[:n], x[n:]])
+
+
+def vec_product(op, w: np.ndarray) -> np.ndarray:
+    """Stacked product of a scalar operator with each component of a (N,2)
+    field: ``diag(op, op) @ stack_vec(w)``, without building the block."""
+    return np.concatenate([op @ w[:, 0], op @ w[:, 1]])
 
 
 def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
@@ -225,8 +202,7 @@ def project_Qh_vec(mesh, w_elem) -> np.ndarray:
     for c in range(2):
         rhs = _scatter_vector(mesh, np.repeat((mesh.areas / 3.0 * w[:, c])[:, None], 3, axis=1))
         out[:, c] = linsolve.solve_spd(f.M, rhs).x
-    fixed = unstack_vec(sigma_fixed_mask(mesh))
-    out[fixed] = 0.0
+    out[unstack_vec(f.sigma_fixed)] = 0.0
     return out
 
 
@@ -343,14 +319,6 @@ class FormSet:
         return self._get("A", lambda m: self.S + self.M)
 
     @property
-    def M2(self) -> sp.csr_matrix:
-        return self._get("M2", vector_mass)
-
-    @property
-    def B(self) -> sp.csr_matrix:
-        return self._get("B", op_Bh)
-
-    @property
     def sigma_fixed(self) -> np.ndarray:
         return self._get("fixed", sigma_fixed_mask)
 
@@ -365,8 +333,8 @@ class FormSet:
 
     def l2_norm_vec(self, w) -> float:
         """Consistent L2 norm of a (N,2) vector field."""
-        x = stack_vec(np.asarray(w, dtype=float))
-        return float(np.sqrt(max(x @ (self.M2 @ x), 0.0)))
+        w = np.asarray(w, dtype=float)
+        return float(np.sqrt(max(stack_vec(w) @ vec_product(self.M, w), 0.0)))
 
 
 _FORMS: "weakref.WeakKeyDictionary[StructuredTriMesh, FormSet]" = weakref.WeakKeyDictionary()

@@ -210,9 +210,10 @@ class Workspace:
         if cfg.scheme == "uveps":
             self.u_solver = linsolve.SPDSolver(self.A_u)
         if cfg.uses_sigma:
+            # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
+            # x-y coupling is a boundary term, each entry at a clamped DOF
             free = fs.sigma_free
-            A_sig = (fs.M2 / k + fs.B).tocsr()
-            self.A_sig_red = A_sig[free, :][:, free].tocsr()
+            self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
 
     # -- norms and changes ----------------------------------------------------
@@ -277,7 +278,7 @@ class Workspace:
         else:
             coef, h = p / (p - 1.0), np.power(_pos(u), p - 1.0)
         load = coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
-        rhs = (self.fs.M2 @ fem.stack_vec(sigma_prev)) / cfg.dt + load
+        rhs = fem.vec_product(self.fs.M, sigma_prev) / cfg.dt + load
         free = self.fs.sigma_free
         x0_free = fem.stack_vec(x0)[free]
         r = linsolve.solve_spd(self.sigma_solver, rhs[free], cfg.linear_tol, x0=x0_free)

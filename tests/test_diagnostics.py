@@ -6,17 +6,20 @@ import pytest
 from chemorepfem import (
     RegularizedPotential,
     SchemeConfig,
+    Workspace,
     build_rect_mesh,
     energy_exact,
     energy_modified,
     fem,
     get_preset,
+    init_state,
     mass,
     min_nodal,
     neg_part_l2,
     residual_RE,
 )
-from chemorepfem.diagnostics import discrete_laplacian_sq
+from chemorepfem._oracle import DenseOracle
+from chemorepfem.diagnostics import _sigma_h1_sq, discrete_laplacian_sq
 from chemorepfem.schemes import SchemeState
 
 
@@ -80,9 +83,21 @@ def test_energy_modified_sigma_schemes(mesh):
     sig = rng.normal(size=(mesh.n_nodes, 2))
     st = state(mesh, u, np.zeros(mesh.n_nodes), sig)
     term1 = 1.5 * float(fem.lumped_mass_diag(mesh) @ pot.f_value(u))
-    x = fem.stack_vec(sig)
-    term2 = 0.5 * float(x @ (fem.vector_mass(mesh) @ x))
+    m = fem.consistent_mass(mesh)
+    term2 = 0.5 * sum(float(sig[:, c] @ (m @ sig[:, c])) for c in range(2))
     assert energy_modified(mesh, pot, cfg, st) == pytest.approx(term1 + term2, rel=1e-12)
+
+
+def test_sigma_h1_sq_is_the_rot_div_form_on_a_scheme_state(mesh):
+    # the per-component H1 product equals the full rot/div form because a
+    # scheme's sigma has exact zeros on the clamped components
+    cfg = SchemeConfig("useps", p=1.5, dt=1e-3, eps=1e-3)
+    ic = get_preset("gauss")
+    st = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+    *_, (_, st, _) = Workspace(mesh, cfg).march(st, 3)
+    x = fem.stack_vec(st.sigma)
+    ref = float(x @ (DenseOracle(mesh, cfg).B @ x))
+    assert _sigma_h1_sq(mesh, st.sigma) == pytest.approx(ref, rel=1e-13)
 
 
 def test_energy_exact_values(mesh):

@@ -128,27 +128,6 @@ def test_op_Ah_spd_and_decomposition(small_mesh):
     assert a == pytest.approx(s + m, abs=1e-15)
 
 
-def test_op_Bh_constant_and_linear_fields(small_mesh):
-    b = fem.op_Bh(small_mesh)
-    n = small_mesh.n_nodes
-    # constants have zero rot and div: quadratic form is the L2 norm
-    c = fem.stack_vec(np.tile([1.0, -2.0], (n, 1)))
-    assert c @ (b @ c) == pytest.approx(5.0 * 4.0, rel=1e-13)
-    # sigma = (y, 0): rot = -1, div = 0, so form = |Omega| + int y^2
-    sig = np.zeros((n, 2))
-    sig[:, 0] = small_mesh.nodes[:, 1]
-    x = fem.stack_vec(sig)
-    assert x @ (b @ x) == pytest.approx(4.0 + 16.0 / 3.0, rel=1e-13)
-
-
-def test_op_Bh_spd_on_constrained_space(small_mesh):
-    b = fem.op_Bh(small_mesh)
-    free = fem.forms(small_mesh).sigma_free
-    bred = b[free, :][:, free].toarray()
-    assert bred == pytest.approx(bred.T, abs=1e-13)
-    assert np.linalg.eigvalsh(bred).min() > 0
-
-
 def test_sigma_fixed_mask(small_mesh):
     from chemorepfem.mesh import CORNER, EDGE_X, EDGE_Y
 
@@ -477,9 +456,9 @@ def test_forms_cache_frees_its_mesh():
         orphan.M
 
 
-# -- B from A and the boundary cross block; R_h by one LU ---------------------
+# -- the sigma operator from A against the rot/div form; R_h by one LU --------
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chemorepfem import init_state, linsolve  # noqa: E402
@@ -493,20 +472,6 @@ meshes = st.builds(
     st.floats(0.1, 10.0),
     st.floats(0.1, 10.0),
 )
-
-
-def coo_op_Bh(mesh):
-    """The element-by-element COO assembly of B that op_Bh replaced."""
-    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
-    dofs = np.hstack([mesh.elements, mesh.elements + mesh.n_nodes])
-    rows, cols = np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, (1, 6)).ravel()
-    n2 = 2 * mesh.n_nodes
-    rot_rot, div_div = [
-        sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n2, n2)).tocsr()
-        for c in (np.hstack([-gy, gx]), np.hstack([gx, gy]))
-        for local in [mesh.areas[:, None, None] * c[:, :, None] * c[:, None, :]]
-    ]
-    return rot_rot + div_div + fem.vector_mass(mesh)
 
 
 def boundary_couplings(mesh):
@@ -525,37 +490,67 @@ def boundary_couplings(mesh):
     return out
 
 
-# 1e-15 is 4.5 ulp of the largest entry, a diagonal one, where the two
-# summation orders differ most: 3.8 ulp at worst over 3000 random meshes.
+# 1e-15 is 4.5 ulp of the largest entry, a diagonal one, where the sparse
+# and the dense summation orders differ most: 3.5 ulp at worst over 300
+# random meshes, where the cross block's residue stays under 0.25 ulp.
 # The examples are fixed so that the suite cannot meet a rarer one by chance.
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=meshes)
-def test_op_Bh_matches_the_dense_oracle_and_stores_no_residue(m):
-    b = fem.op_Bh(m)
-    scale = abs(b).max()
-    ref = DenseOracle(m, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3)).B
-    assert np.abs(b.toarray() - ref).max() <= 1e-15 * scale
-    assert np.abs(b.data).min() >= np.finfo(float).eps * scale
-    # the cross block holds exactly the boundary couplings, each +-1/2
-    k = b[: m.n_nodes, m.n_nodes :].tocoo()
+def test_sigma_operator_is_A_v_twice_on_the_free_dofs(m):
+    cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3)
+    orc = DenseOracle(m, cfg)
+    free = fem.forms(m).sigma_free
+    assert np.array_equal(free, orc.sigma_free)
+    # the rot/div cross block holds exactly the boundary couplings, each +-1/2
+    scale = np.abs(orc.B).max()
+    cross = orc.B[: m.n_nodes, m.n_nodes :]
     want = boundary_couplings(m)
-    assert set(zip(k.row.tolist(), k.col.tolist())) == set(want)
-    assert all(abs(v - want[i, j]) <= 1e-14 for i, j, v in zip(k.row, k.col, k.data))
+    assert set(zip(*np.nonzero(np.abs(cross) > 1e-15 * scale))) == set(want)
+    assert all(abs(cross[ij] - v) <= 1e-14 for ij, v in want.items())
     assert len(want) == 4 * (m.nx + m.ny)
+    # each of them meets a clamped DOF, so the free block is diag(A, A)
+    assume(free.size > 0)  # 1x1: every component is clamped
+    ix = np.ix_(free, free)
+    ref = (orc.M2 / cfg.dt + orc.B)[ix]
+    a_sig = Workspace(m, cfg).A_sig_red.toarray()
+    assert np.abs(a_sig - ref).max() <= 1e-15 * np.abs(ref).max()
+    a = fem.forms(m).A
+    blocks = sp.block_diag([a, a]).toarray()[ix]
+    assert np.abs(blocks - orc.B[ix]).max() <= 1e-15 * scale
 
 
-def test_op_Bh_against_the_coo_assembly():
-    # h = 1/8: every sum is exact, so the two assemblies agree bit for bit
-    m = build_rect_mesh(16, 16, 2.0, 2.0)
-    b, ref = fem.op_Bh(m), coo_op_Bh(m)
-    assert b.nnz == ref.nnz
-    assert np.array_equal(b.indptr, ref.indptr) and np.array_equal(b.indices, ref.indices)
-    assert np.array_equal(b.data, ref.data)
-    for nx in (6, 20, 40):
-        m = build_rect_mesh(nx, nx, 2.0, 2.0)
-        b, ref = fem.op_Bh(m), coo_op_Bh(m)
-        assert_same_matrix(b, ref)
-        assert b.nnz < ref.nnz  # the COO sums keep their cancellation residue
+def _oracle_Bh(mesh):
+    """The rot/div form B_h, kept as the dense oracle's ``B``."""
+    return DenseOracle(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3)).B
+
+
+def test_op_Bh_constant_and_linear_fields(small_mesh):
+    b = _oracle_Bh(small_mesh)
+    n = small_mesh.n_nodes
+    # constants have zero rot and div: quadratic form is the L2 norm
+    c = fem.stack_vec(np.tile([1.0, -2.0], (n, 1)))
+    assert c @ (b @ c) == pytest.approx(5.0 * 4.0, rel=1e-13)
+    # sigma = (y, 0): rot = -1, div = 0, so form = |Omega| + int y^2
+    sig = np.zeros((n, 2))
+    sig[:, 0] = small_mesh.nodes[:, 1]
+    x = fem.stack_vec(sig)
+    assert x @ (b @ x) == pytest.approx(4.0 + 16.0 / 3.0, rel=1e-13)
+
+
+def test_op_Bh_spd_on_constrained_space(small_mesh):
+    b = _oracle_Bh(small_mesh)
+    free = fem.forms(small_mesh).sigma_free
+    bred = b[np.ix_(free, free)]
+    assert bred == pytest.approx(bred.T, abs=1e-13)
+    assert np.linalg.eigvalsh(bred).min() > 0
+
+
+def test_vec_product_is_the_block_diagonal_product():
+    m = build_rect_mesh(7, 5, 2.0, 3.0)
+    w = np.random.default_rng(53).normal(size=(m.n_nodes, 2))
+    for op in (fem.forms(m).M, fem.forms(m).A):
+        ref = sp.block_diag([op, op], format="csr") @ fem.stack_vec(w)
+        assert np.array_equal(fem.vec_product(op, w), ref)
 
 
 @settings(max_examples=40, deadline=None)
