@@ -229,21 +229,20 @@ class Workspace:
 
     # -- the three solves of a Picard iterate ----------------------------------
 
-    def _solve_u(self, state, ul, wl):
-        """The u-equation: one backward-Euler step from ``state`` with the
-        transport frozen at the iterate (``ul``, ``wl``)."""
+    def _solve_u(self, u_load, ul, wl):
+        """The u-equation: one backward-Euler step from the step's mass load
+        ``u_load`` with the transport frozen at the iterate (``ul``, ``wl``)."""
         cfg, mesh, fs = self.cfg, self.mesh, self.fs
-        p, k = cfg.p, cfg.dt
+        p = cfg.p
         if cfg.scheme == "uveps":
             w = lambda2(self.pot, mesh, ul) * fem.grad_p1(mesh, wl)
-            rhs = fs.D * state.u / k - fem.gradient_load(mesh, w)
+            rhs = u_load - fem.gradient_load(mesh, w)
             r = linsolve.solve_spd(self.u_solver, rhs, cfg.linear_tol, x0=ul)
             return r.x, r.iterations
+        rhs = u_load
         if cfg.scheme == "uv":
-            rhs = (fs.M @ state.u) / k
             conv = fem.convection_u(mesh, fem.grad_p1(mesh, wl), kind="element")
         else:
-            rhs = fs.D * state.u / k
             conv = fem.convection_u(mesh, wl, kind="nodal")
         if cfg.scheme == "us0":
             c, g = us0_diffusion_terms(mesh, ul, p)
@@ -252,9 +251,10 @@ class Workspace:
         r = linsolve.solve_general(self.A_u + conv, rhs, cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
-    def _solve_v(self, v_prev, u, x0):
-        """The chemical step (M v)/k + (S + M) v = production(u): the
-        unknown of uv/uveps and the recovered v of useps/us0."""
+    def _solve_v(self, v_load, u, x0):
+        """The chemical step (M v)/k + (S + M) v = production(u), from the
+        step's mass load ``v_load`` = (M v_prev)/k: the unknown of uv/uveps
+        and the recovered v of useps/us0."""
         cfg = self.cfg
         p = cfg.p
         if cfg.scheme == "uveps":
@@ -265,12 +265,13 @@ class Workspace:
             load = p * (p - 1.0) * fem.lumped_load(self.mesh, self.pot.f_value(u))
         else:
             load = fem.lumped_load(self.mesh, np.power(_pos(u), p))
-        rhs = (self.fs.M @ v_prev) / cfg.dt + load
+        rhs = v_load + load
         r = linsolve.solve_spd(self.v_solver, rhs, cfg.linear_tol, x0=x0)
         return r.x, r.iterations
 
-    def _solve_sigma(self, sigma_prev, u, x0):
-        """The sigma-equation of useps/us0, solved on the free DOFs."""
+    def _solve_sigma(self, sigma_load, u, x0):
+        """The sigma-equation of useps/us0 from the step's stacked mass load
+        ``sigma_load`` = (M sigma_prev)/k, solved on the free DOFs."""
         cfg, mesh = self.cfg, self.mesh
         p = cfg.p
         if cfg.scheme == "useps":
@@ -278,7 +279,7 @@ class Workspace:
         else:
             coef, h = p / (p - 1.0), np.power(_pos(u), p - 1.0)
         load = coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
-        rhs = fem.vec_product(self.fs.M, sigma_prev) / cfg.dt + load
+        rhs = sigma_load + load
         free = self.fs.sigma_free
         x0_free = fem.stack_vec(x0)[free]
         r = linsolve.solve_spd(self.sigma_solver, rhs[free], cfg.linear_tol, x0=x0_free)
@@ -312,18 +313,21 @@ class Workspace:
         from the previous v), so diagnostics always see a consistent
         (u, v, sigma) triple.
         """
-        cfg = self.cfg
+        cfg, fs, k = self.cfg, self.fs, self.cfg.dt
         vec = cfg.uses_sigma
         solve_w = self._solve_sigma if vec else self._solve_v
         ul = state.u
-        w_prev = wl = state.sigma if vec else state.v
+        wl = state.sigma if vec else state.v
+        # the mass terms of both right-hand sides are fixed by the step's start
+        u_load = (fs.M @ state.u) / k if cfg.scheme == "uv" else fs.D * state.u / k
+        w_load = fem.vec_product(fs.M, wl) / k if vec else (fs.M @ wl) / k
         max_solver = 0
         change = np.inf
         omega = 1.0
         u_prev = f_prev = None
         d_u, d_f = [], []  # Anderson history, oldest first
         for it in range(1, cfg.picard_max + 1):
-            u_hat, it_u = self._solve_u(state, ul, wl)
+            u_hat, it_u = self._solve_u(u_load, ul, wl)
             f = u_hat - ul
             if it < _ANDERSON_START:
                 if f_prev is not None:
@@ -338,7 +342,7 @@ class Workspace:
                     del d_u[0], d_f[0]
             u1 = _anderson_mix(ul, f, d_u, d_f, omega)
             u_prev, f_prev = ul, f
-            w1, it_w = solve_w(w_prev, u1, wl)
+            w1, it_w = solve_w(w_load, u1, wl)
             max_solver = max(max_solver, it_u, it_w)
             change = max(self._change(u1, ul, False), self._change(w1, wl, vec))
             ul, wl = u1, w1
@@ -350,7 +354,7 @@ class Workspace:
             raise PicardError(cfg.scheme, state.step + 1, report, bad)
         new = self._pack(state, ul, wl)
         if vec:
-            new.v, it_v = self._solve_v(state.v, new.u, x0=state.v)
+            new.v, it_v = self._solve_v((fs.M @ state.v) / k, new.u, x0=state.v)
             max_solver = max(max_solver, it_v)
         return new, PicardReport(it, change, max_solver)
 

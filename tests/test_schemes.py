@@ -121,10 +121,10 @@ def test_recover_v_decay_for_zero_density(scheme):
     cfg = make(scheme, dt=0.5, picard_tol=1e-12, linear_tol=1e-14)
     ops = Workspace(mesh, cfg)
     u, v = np.zeros(mesh.n_nodes), np.full(mesh.n_nodes, 3.0)
-    v1, _ = ops._solve_v(v, u, x0=v)
+    v1, _ = ops._solve_v((ops.fs.M @ v) / cfg.dt, u, x0=v)
     assert v1 == pytest.approx(np.full(mesh.n_nodes, 3.0 / 1.5), rel=1e-12)
     # determinism: identical inputs give bitwise-identical solves
-    v2, _ = ops._solve_v(v, u, x0=v)
+    v2, _ = ops._solve_v((ops.fs.M @ v) / cfg.dt, u, x0=v)
     assert np.array_equal(v1, v2)
 
 
