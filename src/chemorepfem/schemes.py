@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 import scipy.sparse as sp
 
 from . import fem, linsolve
@@ -55,7 +55,11 @@ _CHANGE_FLOOR = 1e-14
 # the first iterate that is mixed, and the condition number past which the
 # oldest history columns are dropped.  The late start keeps every step that
 # converges in a few iterates on its damped path, which matters where a
-# loose picard_tol stops short of the fixed point.
+# loose picard_tol stops short of the fixed point.  The bound is on LAPACK's
+# estimate of the 1-norm condition number kappa_1 of the m x m factor R.
+# For m <= 8, kappa_2/m <= kappa_1 <= m*kappa_2, so read in the 2-norm the
+# bound lies within a factor of 8 of 1e10: far from the conditioning of a
+# working history, and from the ~1/eps of a repeated column.
 _ANDERSON_DEPTH = 8
 _ANDERSON_START = 8
 _ANDERSON_COND = 1e10
@@ -158,25 +162,46 @@ def us0_diffusion_terms(mesh, u, p):
     return c, g
 
 
-def _anderson_mix(u, f, d_u, d_f, beta):
+def _push(h, m, new, old):
+    """Write ``new - old`` as the newest row of the history ``h``, whose
+    first ``m`` rows are in use, oldest first; a full history shifts its
+    oldest row out.  Returns the number of rows in use."""
+    if m == len(h):
+        m -= 1
+        h[:m] = h[1:]
+    np.subtract(new, old, out=h[m])
+    return m + 1
+
+
+def _anderson_mix(u, f, h_u, h_f, m, beta):
     """Damped Anderson (type II) mixing of a fixed-point map g.
 
-    ``f`` is the residual g(u) - u at the current iterate ``u``; ``d_u``/
-    ``d_f`` hold the consecutive differences of earlier iterates and their
-    residuals, oldest first.  With gamma minimizing ||f - dF @ gamma||,
-    solved by QR, the mixed iterate is u + beta*f - (dU + beta*dF) @ gamma,
-    an affine combination of iterates and their images.  While the
-    triangular factor is worse conditioned than ``_ANDERSON_COND`` the
-    oldest columns are dropped from both lists, in place.
+    ``f`` is the residual g(u) - u at the current iterate ``u``; the first
+    ``m`` rows of ``h_u``/``h_f`` hold the consecutive differences of
+    earlier iterates and their residuals, oldest first.  With gamma
+    minimizing ||f - dF @ gamma||, the mixed iterate is
+    u + beta*f - (dU + beta*dF) @ gamma, an affine combination of iterates
+    and their images.  One Householder QR of [dF | f] gives both R (its
+    leading m x m block) and Q^T f (the head of its last column), so Q is
+    never formed.  While LAPACK's 1-norm estimate puts the condition of R
+    past ``_ANDERSON_COND`` the oldest row is dropped, in place.  Returns
+    the mixed iterate and the number of rows kept.
     """
-    while d_f:
-        df = np.column_stack(d_f)
-        q, r = np.linalg.qr(df)
-        if np.linalg.cond(r) <= _ANDERSON_COND:
-            gamma = scipy.linalg.solve_triangular(r, q.T @ f)
-            return u + beta * f - (np.column_stack(d_u) + beta * df) @ gamma
-        del d_u[0], d_f[0]
-    return u + beta * f
+    while m:
+        a = np.empty((m + 1, u.size))
+        a[:m] = h_f[:m]
+        a[m] = f
+        qr = lapack.dgeqrf(a.T, overwrite_a=True)[0]
+        # R, reflectors below its diagonal; square, since the LAPACK wrappers
+        # take its order from the shape
+        r = qr[:m, :m]
+        if lapack.dtrcon(r, norm="1")[0] >= 1.0 / _ANDERSON_COND:
+            gamma = lapack.dtrtrs(r, qr[:m, m])[0]
+            return u + beta * f - gamma @ (h_u[:m] + beta * h_f[:m]), m
+        m -= 1
+        h_u[:m] = h_u[1 : m + 1]
+        h_f[:m] = h_f[1 : m + 1]
+    return u + beta * f, 0
 
 
 class Workspace:
@@ -215,6 +240,10 @@ class Workspace:
             free = fs.sigma_free
             self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
+        # Anderson history of step, rewritten in place: left unfilled, since a
+        # step reads only the rows it wrote, and untouched pages cost no memory
+        self._h_u = np.empty((_ANDERSON_DEPTH, mesh.n_nodes))
+        self._h_f = np.empty((_ANDERSON_DEPTH, mesh.n_nodes))
 
     # -- norms and changes ----------------------------------------------------
 
@@ -325,7 +354,7 @@ class Workspace:
         change = np.inf
         omega = 1.0
         u_prev = f_prev = None
-        d_u, d_f = [], []  # Anderson history, oldest first
+        h_u, h_f, m = self._h_u, self._h_f, 0  # Anderson history, oldest row first
         for it in range(1, cfg.picard_max + 1):
             u_hat, it_u = self._solve_u(u_load, ul, wl)
             f = u_hat - ul
@@ -336,11 +365,9 @@ class Workspace:
                     if denom > 0.0:
                         omega = float(np.clip(-omega * (f_prev @ df) / denom, 0.05, 1.0))
             else:
-                d_u.append(ul - u_prev)
-                d_f.append(f - f_prev)
-                if len(d_f) > _ANDERSON_DEPTH:
-                    del d_u[0], d_f[0]
-            u1 = _anderson_mix(ul, f, d_u, d_f, omega)
+                _push(h_u, m, ul, u_prev)
+                m = _push(h_f, m, f, f_prev)
+            u1, m = _anderson_mix(ul, f, h_u, h_f, m, omega)
             u_prev, f_prev = ul, f
             w1, it_w = solve_w(w_load, u1, wl)
             max_solver = max(max_solver, it_u, it_w)

@@ -18,7 +18,7 @@ from chemorepfem import (
 )
 from chemorepfem._oracle import DenseOracle
 from chemorepfem.diagnostics import mean_v_balance
-from chemorepfem.schemes import _anderson_mix, us0_diffusion_terms
+from chemorepfem.schemes import _ANDERSON_DEPTH, _anderson_mix, _push, us0_diffusion_terms
 
 
 def make(scheme, p=1.5, dt=1e-4, eps=None, **kw):
@@ -248,6 +248,14 @@ def test_picard_error_carries_state_and_report():
     assert exc.value.state.u.shape == st.u.shape
 
 
+def _history(d_u, d_f):
+    """Anderson history arrays of full depth holding the rows given."""
+    h_u = np.empty((_ANDERSON_DEPTH, d_u.shape[1]))
+    h_f = np.empty_like(h_u)
+    h_u[: len(d_u)], h_f[: len(d_f)] = d_u, d_f
+    return h_u, h_f
+
+
 def test_anderson_mix_solves_affine_map_and_drops_dependent_columns():
     # on an affine map a full history makes the least-squares residual
     # vanish, so the mixed iterate is the fixed point whatever the damping
@@ -255,16 +263,58 @@ def test_anderson_mix_solves_affine_map_and_drops_dependent_columns():
     a = 0.5 * rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
     fixed = np.linalg.solve(np.eye(3) - a, b)
-    us = [rng.standard_normal(3) for _ in range(4)]
-    fs = [a @ u + b - u for u in us]
-    d_u = [us[i + 1] - us[i] for i in range(3)]
-    d_f = [fs[i + 1] - fs[i] for i in range(3)]
-    assert np.allclose(_anderson_mix(us[-1], fs[-1], d_u, d_f, 0.3), fixed, rtol=0, atol=1e-12)
-    assert len(d_f) == 3
-    # a repeated column makes the factor singular: the oldest one goes
-    d_u, d_f = [d_u[0], d_u[0]], [d_f[0], d_f[0]]
-    _anderson_mix(us[-1], fs[-1], d_u, d_f, 0.3)
-    assert len(d_u) == len(d_f) == 1
+    us = rng.standard_normal((4, 3))
+    fs = us @ a.T + b - us
+    d_u, d_f = np.diff(us, axis=0), np.diff(fs, axis=0)
+    h_u, h_f = _history(d_u, d_f)
+    mixed, kept = _anderson_mix(us[-1], fs[-1], h_u, h_f, 3, 0.3)
+    assert np.allclose(mixed, fixed, rtol=0, atol=1e-12)
+    assert kept == 3
+    # a repeated column makes the factor singular: the oldest one goes, and
+    # the rows left move up in place
+    h_u, h_f = _history(d_u[[0, 1, 0]], d_f[[0, 1, 0]])
+    _, kept = _anderson_mix(us[-1], fs[-1], h_u, h_f, 3, 0.3)
+    assert kept == 2
+    assert np.array_equal(h_u[:2], d_u[[1, 0]]) and np.array_equal(h_f[:2], d_f[[1, 0]])
+
+
+@pytest.mark.parametrize("m", range(1, _ANDERSON_DEPTH + 1))
+def test_anderson_mix_solves_its_least_squares_problem(m):
+    # the QR of [dF | f] gives gamma = argmin ||f - dF gamma||, the least
+    # squares solution numpy finds by SVD
+    rng = np.random.default_rng(m)
+    n, beta = 441, 0.6
+    d_u, d_f = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+    u, f = rng.standard_normal(n), rng.standard_normal(n)
+    gamma = np.linalg.lstsq(d_f.T, f, rcond=None)[0]
+    want = u + beta * f - (d_u + beta * d_f).T @ gamma
+    h_u, h_f = _history(d_u, d_f)
+    mixed, kept = _anderson_mix(u, f, h_u, h_f, m, beta)
+    assert kept == m
+    assert np.linalg.norm(mixed - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("gap,kept", [(1e-9, 2), (1e-11, 1)])
+def test_anderson_mix_drops_columns_past_its_bound(gap, kept):
+    # two nearly equal columns: condition number about 2e9, inside the
+    # 1e10 bound, or about 2e11, past it
+    rng = np.random.default_rng(3)
+    d_f = rng.standard_normal((2, 441))
+    d_f[1] = d_f[0] + gap * d_f[1]
+    assert 1.0 < np.linalg.cond(d_f.T) * gap < 4.0
+    h_u, h_f = _history(rng.standard_normal((2, 441)), d_f)
+    assert _anderson_mix(np.zeros(441), rng.standard_normal(441), h_u, h_f, 2, 1.0)[1] == kept
+
+
+def test_anderson_history_keeps_the_newest_rows_in_order():
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((11, 5))
+    h = np.empty((_ANDERSON_DEPTH, 5))
+    m = 0
+    for i in range(10):
+        m = _push(h, m, rows[i + 1], rows[i])
+    assert m == _ANDERSON_DEPTH
+    assert np.array_equal(h, np.diff(rows, axis=0)[-_ANDERSON_DEPTH:])
 
 
 def test_workspace_step_advances_every_scheme():
@@ -292,6 +342,22 @@ def test_step_determinism():
     assert np.array_equal(outs[0].u, outs[1].u)
     assert np.array_equal(outs[0].v, outs[1].v)
     assert np.array_equal(outs[0].sigma, outs[1].sigma)
+
+
+def test_anderson_history_does_not_leak_between_steps():
+    # this uveps leg mixes from its 8th iterate, with 79, 47, 30, ... iterates
+    # per step, so every step fills the Workspace's history arrays
+    mesh = build_rect_mesh(20, 20, 2.0, 2.0)
+    cfg = make("uveps", eps=1e-3, dt=1e-2, picard_tol=1e-10, picard_max=500)
+    pre = get_preset("gauss")
+    st0 = init_state(mesh, cfg, pre.u0, pre.v0, pre.grad_v0)
+    ops = Workspace(mesh, cfg)
+    (a, rep), (b, _) = ops.step(st0), ops.step(st0)
+    assert rep.iterations > 8
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+    runs = [[st for _, st, _ in Workspace(mesh, cfg).march(st0, 3)] for _ in range(2)]
+    for x, y in zip(*runs):
+        assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v)
 
 
 # us0 runs at dt = 1e-4, its coarse-tight benchmark leg: at dt = 1e-2 its
