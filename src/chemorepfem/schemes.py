@@ -240,10 +240,6 @@ class Workspace:
             free = fs.sigma_free
             self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
-        # Anderson history of step, rewritten in place: left unfilled, since a
-        # step reads only the rows it wrote, and untouched pages cost no memory
-        self._h_u = np.empty((_ANDERSON_DEPTH, mesh.n_nodes))
-        self._h_f = np.empty((_ANDERSON_DEPTH, mesh.n_nodes))
 
     # -- norms and changes ----------------------------------------------------
 
@@ -354,7 +350,8 @@ class Workspace:
         change = np.inf
         omega = 1.0
         u_prev = f_prev = None
-        h_u, h_f, m = self._h_u, self._h_f, 0  # Anderson history, oldest row first
+        h_u = h_f = None  # Anderson history, oldest row first, rows 0..m-1 in use
+        m = 0
         for it in range(1, cfg.picard_max + 1):
             u_hat, it_u = self._solve_u(u_load, ul, wl)
             f = u_hat - ul
@@ -365,6 +362,9 @@ class Workspace:
                     if denom > 0.0:
                         omega = float(np.clip(-omega * (f_prev @ df) / denom, 0.05, 1.0))
             else:
+                if it == _ANDERSON_START:
+                    # made only for a step that mixes, and freed with it
+                    h_u, h_f = np.empty((2, _ANDERSON_DEPTH, ul.size))
                 _push(h_u, m, ul, u_prev)
                 m = _push(h_f, m, f, f_prev)
             u1, m = _anderson_mix(ul, f, h_u, h_f, m, omega)

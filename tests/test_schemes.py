@@ -346,7 +346,7 @@ def test_step_determinism():
 
 def test_anderson_history_does_not_leak_between_steps():
     # this uveps leg mixes from its 8th iterate, with 79, 47, 30, ... iterates
-    # per step, so every step fills the Workspace's history arrays
+    # per step, so every step fills and shifts a full Anderson history
     mesh = build_rect_mesh(20, 20, 2.0, 2.0)
     cfg = make("uveps", eps=1e-3, dt=1e-2, picard_tol=1e-10, picard_max=500)
     pre = get_preset("gauss")
