@@ -30,6 +30,7 @@ __all__ = [
     "project_Qh",
     "project_Qh_vec",
     "project_Rh",
+    "tensor_inverse",
     "grad_p1",
     "gradient_load",
     "weighted_gradient_load",
@@ -206,6 +207,65 @@ def project_Qh_vec(mesh, w_elem) -> np.ndarray:
     return out
 
 
+def _cos_transform(x, axis):
+    """sum_i x_i cos(pi k i / N) for k = 0..N along ``axis`` (N + 1 points):
+    the real part of the length-2N DFT of x padded with zeros (a DCT-I
+    with unit end weights)."""
+    return np.fft.rfft(x, n=2 * (x.shape[axis] - 1), axis=axis).real
+
+
+def tensor_inverse(mesh, c: float):
+    """``b -> (c D + S)^{-1} b`` on the structured mesh, for ``c > 0``.
+
+    With W = diag(1/2, 1, ..., 1, 1/2) the trapezoid weights and T the 1-D
+    Neumann second difference, the stiffness is the 5-point tensor stencil
+    S = (hy/hx) W_y x T_x + (hx/hy) T_y x W_x (each diagonal edge faces two
+    right angles, so its entry vanishes), and the lumped mass is
+    D = hx hy W_y x W_x except at the four corners, where it is hx hy/3 or
+    hx hy/6 (two elements or one) instead of hx hy/4.  W^{-1} T has the
+    eigenvectors V = [cos(pi k i / N)], with V^T W V = diag(nu), nu = N at
+    k = 0, N and N/2 between, so the tensor part inverts as two cosine
+    transforms each way, and the corners are a rank-4 Woodbury correction
+    whose four columns are computed here (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 7(4), 1970; Swarztrauber, SIAM Rev. 19(3), 1977).
+    """
+    nx, ny = mesh.nx, mesh.ny
+    hx, hy = mesh.lx / nx, mesh.ly / ny
+
+    def lam_nu(n):
+        k = np.arange(n + 1)
+        nu = np.full(n + 1, n / 2.0)
+        nu[[0, -1]] = n
+        return 4.0 * np.sin(np.pi * k / (2 * n)) ** 2, nu
+
+    lam_x, nu_x = lam_nu(nx)
+    lam_y, nu_y = lam_nu(ny)
+    mu = c * hx * hy + (hy / hx) * lam_x + (hx / hy) * lam_y[:, None]
+    scale = 1.0 / (nu_y[:, None] * nu_x * mu)
+
+    def tensor(b):
+        y = _cos_transform(_cos_transform(b.reshape(ny + 1, nx + 1), 1), 0)
+        y *= scale
+        return _cos_transform(_cos_transform(y, 1), 0).ravel()
+
+    # c D + S = T0 + E diag(delta) E^T with T0 the tensor part and E the
+    # corner columns; with Z = (T0^{-1} E)^T and Z_E = Z E its inverse is
+    # T0^{-1} - Z^T (I + delta Z_E)^{-1} delta E^T T0^{-1}
+    corners = np.array([0, nx, ny * (nx + 1), mesh.n_nodes - 1])
+    delta = c * (forms(mesh).D[corners] - hx * hy / 4.0)
+    e = np.zeros((4, mesh.n_nodes))
+    e[np.arange(4), corners] = 1.0
+    z = np.stack([tensor(col) for col in e])
+    core = np.linalg.solve(np.eye(4) + delta[:, None] * z[:, corners], np.diag(delta))
+    zt = np.ascontiguousarray(z.T)
+
+    def solve(b):
+        y = tensor(b)
+        return y - zt @ (core @ y[corners])
+
+    return solve
+
+
 def _fd_gradient(v, delta=1e-6):
     def grad(x, y):
         gx = (v(x + delta, y) - v(x - delta, y)) / (2.0 * delta)
@@ -237,8 +297,10 @@ def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
     gbar = [(wq * np.asarray(g, dtype=float)).sum(axis=1) for g in grad_v(x, y)]
     local += np.einsum("eid,ed->ei", mesh.grads, np.stack(gbar, axis=-1))
     rhs = _scatter_vector(mesh, local)
-    # solved once, so by one LU: CG takes O(1/h) iterations (linsolve table)
-    return linsolve.solve_spd(linsolve.SPDSolver(forms(mesh).A, direct=True), rhs).x
+    # by the size rule: one LU up to the bound, and above it CG
+    # preconditioned by (D + S)^{-1}, a few iterations (linsolve table)
+    solver = linsolve.SPDSolver(forms(mesh).A, precond=lambda: tensor_inverse(mesh, 1.0))
+    return linsolve.solve_spd(solver, rhs).x
 
 
 def grad_p1(mesh, u) -> np.ndarray:

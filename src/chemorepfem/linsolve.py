@@ -4,21 +4,30 @@ Preconditioned CG and BiCGStab that enforce the residual contract
 (||Ax - b|| <= rel_tol * ||b||), count iterations, and fail loudly
 instead of returning an unconverged iterate.  The SPD systems (v, sigma,
 projections) go to ``solve_spd``.  Given a bare matrix it runs
-Jacobi-preconditioned CG.  Given an ``SPDSolver``, the one solver that
-``schemes.Workspace`` builds for each constant SPD operator it solves
-repeatedly (``A_v``, the lumped ``A_u`` of ``uveps``, ``A_sig_red``), it
-reuses that operator's Jacobi vector, and an operator with at most
-``_DIRECT_MAX_N`` unknowns is solved by a sparse LU (SuperLU ``splu``,
-minimum degree on A^T + A) built at its first solve.  A direct result
-that misses the contract is polished by CG from itself.  The choice is
-made once per operator, from its size alone, so every solve of one
-operator takes the same path and runs repeat bit for bit.  The H1
-operator S + M of ``fem.project_Rh`` is solved once, always by the LU.
-The bound rests on these timings (scipy 1.17.1, one BLAS thread, warm
-Jacobi-CG from a nearby start, rel_tol 1e-12; ``nx`` is the mesh; the
-H1 rows, CG from the nodal interpolant, were taken on a machine 3-5x
-slower, with the LU settings of ``_superlu``, which build the others
-in 0.55-0.75 of the time shown):
+Jacobi-preconditioned CG.  Given an ``SPDSolver``, the one solver built
+for each constant SPD operator (by ``schemes.Workspace`` for ``A_v``, the
+lumped ``A_u`` of ``uveps`` and ``A_sig_red``, by ``fem.project_Rh`` for
+the H1 operator S + M), an operator with at most ``_DIRECT_MAX_N``
+unknowns is solved by a sparse LU (SuperLU ``splu``, minimum degree on
+A^T + A) built at its first solve, and a larger one by CG.  That CG takes
+the solver's ``precond``, a builder of a preconditioner solve r -> P r
+that is called only above the bound, or else the operator's cached
+Jacobi vector.  ``A_u = D/k + S`` and S + M get ``fem.tensor_inverse``,
+the inverse of c D + S on the structured mesh (two cosine transforms
+each way and a rank-4 correction at the corners), with c = 1/k and
+c = 1: for ``A_u`` it is exact, so CG takes one iteration, and for S + M
+it is spectrally equivalent, since D^{-1} M has its eigenvalues in
+[1/4, 1], so CG takes 3-4 iterations from zero.  ``A_v`` and
+``A_sig_red`` keep Jacobi: in ``A_v = M/k + S + M`` the mass dominates,
+and there the tensor preconditioner took 15 iterations against
+Jacobi's 13.  A direct result that misses the contract is polished by
+CG from itself.  The choice is made once per operator, from its size
+alone, so every solve of one operator takes the same path and runs
+repeat bit for bit.  The bound rests on these timings (scipy 1.17.1, one
+BLAS thread, warm Jacobi-CG from a nearby start, rel_tol 1e-12; ``nx``
+is the mesh; the H1 rows, CG from the nodal interpolant, were taken on a
+machine 3-5x slower, with the LU settings of ``_superlu``, which build
+the others in 0.55-0.75 of the time shown):
 
     n (operator, nx)       LU build      LU solve       CG solve       repays after
     441 (A_v/A_u, 20)      0.44/0.37 ms  16/12 us       233/225 us     ~2 solves
@@ -29,6 +38,18 @@ in 0.55-0.75 of the time shown):
     51198 (A_sig_red, 160) 1.23 s        9.8 ms         6.9 ms         never
     441/1681 (H1, 20/40)   1.3/4.9 ms    0.1/0.3 ms     71/136 it, 2.1/6.7 ms  at once
     25921 (H1, 160)        126 ms        6.3 ms         513-642 it, 0.21-0.28 s at once
+
+and, for CG with ``fem.tensor_inverse`` (the same settings, on a 2-core
+machine; the u-solve warm, the H1 solve from zero, one LU built and
+solved in the last column):
+
+    n (operator, nx)        inverse build  tensor CG            Jacobi CG / one LU
+    441/1681 (A_u, 20/40)   0.42/0.66 ms   1 it, 0.15/0.24 ms   6/8 it, 0.18/0.41 ms
+    25921 (A_u, 160)        4.9 ms         1 it, 2.0 ms         24 it, 6.8 ms
+    441/1681 (H1, 20/40)    0.25/0.73 ms   4 it, 0.30/0.51 ms   LU 1.3/4.3 ms
+    25921 (H1, 160)         6.6 ms         3 it, 7.2 ms         LU 109 ms
+
+At and below the bound every operator keeps its LU.
 
 Factoring ``A_sig_red`` at nx = 40 as well cost 12% of the ``useps``/
 ``us0`` rate of a 20-step nx = 40 run and 12% more peak memory.
@@ -115,15 +136,21 @@ def _start(A, b, x0):
     return x, b - A @ x if x.any() else b.copy()
 
 
-def _cg(A, b, x0, dinv, atol, maxiter):
-    """Jacobi-preconditioned CG; returns (x, info, completed iterations),
-    info 0 on convergence (||r|| < atol) and maxiter when the cap is hit."""
+def _jacobi_solve(A):
+    """The Jacobi preconditioner solve r -> D^{-1} r of A."""
+    dinv = _jacobi(A)
+    return lambda r: dinv * r
+
+
+def _cg(A, b, x0, psolve, atol, maxiter):
+    """Preconditioned CG; returns (x, info, completed iterations), info 0
+    on convergence (||r|| < atol) and maxiter when the cap is hit."""
     x, r = _start(A, b, x0)
     p = rho_prev = None
     for it in range(maxiter):
         if _norm(r) < atol:
             return x, 0, it
-        z = dinv * r
+        z = psolve(r)
         rho = np.dot(r, z)
         if it > 0:
             p *= rho / rho_prev
@@ -191,15 +218,17 @@ def _superlu(factor, A, **options):
 
 
 class SPDSolver:
-    """A constant SPD operator ``A`` prepared for ``solve_spd``: its Jacobi
-    vector and whether it is solved directly (by default, if it has at most
-    ``_DIRECT_MAX_N`` unknowns) are fixed here, and the LU is built at the
-    first direct solve."""
+    """A constant SPD operator ``A`` prepared for ``solve_spd``.  Whether it
+    is solved directly (it has at most ``_DIRECT_MAX_N`` unknowns) and its CG
+    preconditioner are fixed here; the LU is built at the first solve.  Above
+    the bound CG is preconditioned by ``precond()``, a solve r -> P r that
+    is built only there, or by Jacobi without one; a direct operator keeps
+    Jacobi for its polish."""
 
-    def __init__(self, A, direct=None):
+    def __init__(self, A, precond=None):
         self.A = A
-        self.dinv = _jacobi(A)
-        self.direct = A.shape[0] <= _DIRECT_MAX_N if direct is None else direct
+        self.direct = A.shape[0] <= _DIRECT_MAX_N
+        self.psolve = _jacobi_solve(A) if self.direct or precond is None else precond()
         self.lu = None
 
     def lu_solve(self, b):
@@ -210,8 +239,8 @@ class SPDSolver:
 
 def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     """Solve an SPD system: Jacobi-preconditioned CG for a matrix ``A``;
-    for an ``SPDSolver`` its cached Jacobi vector, or, when it is direct,
-    its LU, polished by CG from the LU's result if that misses the
+    for an ``SPDSolver`` CG with its cached preconditioner, or, when it is
+    direct, its LU, polished by CG from the LU's result if that misses the
     contract (``iterations`` counts the polish, so 0 when none ran)."""
     b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
@@ -219,19 +248,19 @@ def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     atol = rel_tol * bnorm
     if isinstance(A, SPDSolver):
         solver, A = A, A.A
-        dinv = solver.dinv
+        psolve = solver.psolve
         if solver.direct:
             x0 = solver.lu_solve(b)
             res = _residual(A, x0, b)
             if res <= atol:
                 return SolveResult(x0, 0, res)
     else:
-        dinv = _jacobi(A)
-    x, info, iters = _cg(A, b, x0, dinv, atol, maxiter)
+        psolve = _jacobi_solve(A)
+    x, info, iters = _cg(A, b, x0, psolve, atol, maxiter)
     res = _residual(A, x, b)
     if info == 0 and res > atol:
         # recurrence residual drifted from the true one; polish once
-        x, info, more = _cg(A, b, x, dinv, atol, maxiter)
+        x, info, more = _cg(A, b, x, psolve, atol, maxiter)
         iters += more
         res = _residual(A, x, b)
     if info != 0 or res > atol:
@@ -246,8 +275,7 @@ def _ilu(A):
     try:
         return _superlu(spla.spilu, A, drop_tol=1e-6, fill_factor=20).solve
     except RuntimeError:
-        dinv = _jacobi(A)
-        return lambda r: dinv * r
+        return _jacobi_solve(A)
 
 
 def solve_general(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:

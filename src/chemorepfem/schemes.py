@@ -233,7 +233,10 @@ class Workspace:
         # for uveps, the others add convection to it on every iterate
         self.v_solver = linsolve.SPDSolver(self.A_v)
         if cfg.scheme == "uveps":
-            self.u_solver = linsolve.SPDSolver(self.A_u)
+            # above the size bound its exact inverse preconditions CG
+            self.u_solver = linsolve.SPDSolver(
+                self.A_u, precond=lambda: fem.tensor_inverse(mesh, 1.0 / k)
+            )
         if cfg.uses_sigma:
             # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
             # x-y coupling is a boundary term, each entry at a clamped DOF

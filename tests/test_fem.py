@@ -597,3 +597,82 @@ def test_init_state_evaluates_v0_at_the_nodes_once():
     init_state(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3), ic.u0, v0, ic.grad_v0)
     assert shapes.count((mesh.n_nodes,)) == 1  # the nonnegativity check
     assert shapes.count((mesh.n_elements, fem._QW4.size)) == 1  # the projection's rule
+
+
+# -- the tensor-product inverse of c D + S ------------------------------------
+
+import scipy.sparse.linalg as spla  # noqa: E402
+
+
+def _trapezoid(n):
+    """Trapezoid weights diag(1/2, 1, ..., 1, 1/2) on n + 1 points."""
+    w = np.ones(n + 1)
+    w[[0, -1]] = 0.5
+    return sp.diags(w)
+
+
+def _second_difference(n):
+    """1-D Neumann second difference on n + 1 points."""
+    d = np.full(n + 1, 2.0)
+    d[[0, -1]] = 1.0
+    return sp.diags([-np.ones(n), d, -np.ones(n)], [-1, 0, 1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=meshes)
+def test_stiffness_and_lumped_mass_are_tensor_products(m):
+    # fem.tensor_inverse rests on both: S is the 5-point stencil (the
+    # diagonal edges face right angles) and D is hx hy W x W but at the
+    # corners, which touch two elements (h^2/3) or one (h^2/6)
+    hx, hy = m.lx / m.nx, m.ly / m.ny
+    wx, wy = _trapezoid(m.nx), _trapezoid(m.ny)
+    kron = (hy / hx) * sp.kron(wy, _second_difference(m.nx))
+    kron += (hx / hy) * sp.kron(_second_difference(m.ny), wx)
+    fs = fem.forms(m)
+    assert abs(fs.S - kron).max() <= 1e-14 * abs(fs.S).max()
+    d = hx * hy * sp.kron(wy, wx).diagonal()
+    corners = [0, m.nx, m.ny * (m.nx + 1), m.n_nodes - 1]
+    d[corners] = hx * hy * np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3])
+    assert fs.D == pytest.approx(d, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e2, 1.0])
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 5, 2.0, 3.0), (64, 30, 1.0, 5.0), (1, 1, 2.0, 2.0), (2, 3, 2.0, 2.0), (50, 50, 2.0, 2.0)],
+)
+def test_tensor_inverse_matches_a_sparse_direct_solve(shape, c):
+    m = build_rect_mesh(*shape)
+    fs = fem.forms(m)
+    b = np.random.default_rng(61).normal(size=m.n_nodes)
+    kept = b.copy()
+    ref = spla.spsolve(sp.csc_matrix(c * sp.diags(fs.D) + fs.S), b)
+    x = fem.tensor_inverse(m, c)(b)
+    assert np.array_equal(b, kept)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("nx", [40, 160])
+def test_project_Rh_above_the_bound_is_tensor_preconditioned_cg(nx, monkeypatch):
+    mesh = build_rect_mesh(nx, nx, 2.0, 2.0)
+    ic = get_preset("gauss")
+    real, seen = linsolve.solve_spd, []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(linsolve, "solve_spd", spy)
+    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", mesh.n_nodes)
+    lu = fem.project_Rh(mesh, ic.v0, ic.grad_v0)
+    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", mesh.n_nodes - 1)
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    cg = fem.project_Rh(mesh, ic.v0, ic.grad_v0)
+    lu_res, cg_res = seen
+    assert lu_res.iterations == 0  # the LU needs no polish
+    assert 1 <= cg_res.iterations <= 5 and np.array_equal(cg_res.x, cg)
+    assert np.linalg.norm(cg - lu) <= 1e-12 * np.linalg.norm(lu)
+
+
+def failing_splu(*args, **kwargs):
+    raise AssertionError("splu called for an operator above the bound")

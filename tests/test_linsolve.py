@@ -154,7 +154,7 @@ def check_cg(A, b, x0, rtol=1e-12, maxiter=None):
     maxiter = maxiter or 10 * b.size
     dinv = linsolve._jacobi(A)
     ref = scipy_krylov(spla.cg, A, b, x0, sp.diags(dinv), rtol, maxiter)
-    got = linsolve._cg(A, b, x0, dinv, rtol * float(np.linalg.norm(b)), maxiter)
+    got = linsolve._cg(A, b, x0, lambda r: dinv * r, rtol * float(np.linalg.norm(b)), maxiter)
     assert_bitwise(got[0], ref[0])
     assert got[1:] == ref[1:]
     return got
@@ -432,14 +432,14 @@ def _bare(ws):
 
 
 def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
-    # the initial states come first: the H1 projection in them factors
+    # an operator without a preconditioner of its own (A_v, A_sig_red, and
+    # every SPD operator of useps) keeps Jacobi-CG above the bound, bit for
+    # bit the bare matrix's; the initial state comes first: the H1
+    # projection in it factors
     mesh = build_rect_mesh(6, 6, 2.0, 2.0)
     ic = get_preset("gauss")
-    cfgs = (
-        SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
-        SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10),
-    )
-    states = [init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0) for cfg in cfgs]
+    cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10)
+    state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
     monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 48)  # the 6x6 mesh has 49 nodes
     monkeypatch.setattr(spla, "splu", failing_splu)
     for name in sorted(SPD):
@@ -450,14 +450,45 @@ def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
         res, ref = solve_spd(solver, b, 1e-12, x0=x0), solve_spd(A, b, 1e-12, x0=x0)
         assert_bitwise(res.x, ref.x)
         assert (res.iterations, res.residual) == (ref.iterations, ref.residual)
-    for cfg, state in zip(cfgs, states):
-        cached = list(Workspace(mesh, cfg).march(state, 3))
-        bare = list(_bare(Workspace(mesh, cfg)).march(state, 3))
-        for (_, got, rep), (_, ref, ref_rep) in zip(cached, bare):
-            assert rep == ref_rep
-            for field in ("u", "v", "sigma"):
-                if getattr(ref, field) is not None:
-                    assert_bitwise(getattr(got, field), getattr(ref, field))
+    cached = list(Workspace(mesh, cfg).march(state, 3))
+    bare = list(_bare(Workspace(mesh, cfg)).march(state, 3))
+    for (_, got, rep), (_, ref, ref_rep) in zip(cached, bare):
+        assert rep == ref_rep
+        for field in ("u", "v", "sigma"):
+            assert_bitwise(getattr(got, field), getattr(ref, field))
+
+
+def test_uveps_u_operator_above_the_bound_is_solved_by_its_tensor_inverse(monkeypatch):
+    # the lumped A_u = D/k + S of uveps is preconditioned by its own exact
+    # inverse (fem.tensor_inverse), so CG takes at most two iterations
+    mesh = build_rect_mesh(6, 6, 2.0, 2.0)
+    ic = get_preset("gauss")
+    cfg = SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10)
+    state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 48)
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    ws = Workspace(mesh, cfg)
+    real, u_solves = linsolve.solve_spd, []
+
+    def spy(A, b, *args, **kwargs):
+        res = real(A, b, *args, **kwargs)
+        if A is ws.u_solver:
+            u_solves.append((res, b))
+        return res
+
+    monkeypatch.setattr(linsolve, "solve_spd", spy)
+    *_, (_, got, _) = ws.march(state, 3)
+    assert len(u_solves) >= 3
+    for res, b in u_solves:
+        true = float(np.linalg.norm(b - ws.A_u @ res.x))
+        assert res.iterations <= 2
+        assert res.residual == true <= 1e-12 * np.linalg.norm(b)
+    # the same fixed points as Jacobi-CG, to the Picard tolerance
+    monkeypatch.setattr(linsolve, "solve_spd", real)
+    *_, (_, ref, _) = _bare(Workspace(mesh, cfg)).march(state, 3)
+    for field in ("u", "v"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("direct", [True, False])
