@@ -44,10 +44,10 @@ machine; the u-solve warm, the H1 solve from zero, one LU built and
 solved in the last column):
 
     n (operator, nx)        inverse build  tensor CG            Jacobi CG / one LU
-    441/1681 (A_u, 20/40)   0.42/0.66 ms   1 it, 0.15/0.24 ms   6/8 it, 0.18/0.41 ms
-    25921 (A_u, 160)        4.9 ms         1 it, 2.0 ms         24 it, 6.8 ms
-    441/1681 (H1, 20/40)    0.25/0.73 ms   4 it, 0.30/0.51 ms   LU 1.3/4.3 ms
-    25921 (H1, 160)         6.6 ms         3 it, 7.2 ms         LU 109 ms
+    441/1681 (A_u, 20/40)   0.44/0.40 ms   1 it, 0.16/0.15 ms   6/8 it, 0.19/0.24 ms
+    25921 (A_u, 160)        5.1 ms         1 it, 1.8 ms         24 it, 6.1 ms
+    441/1681 (H1, 20/40)    0.44/0.40 ms   4 it, 0.52/0.48 ms   LU 1.7/3.4 ms
+    25921 (H1, 160)         5.0 ms         3 it, 5.9 ms         LU 130 ms
 
 At and below the bound every operator keeps its LU.
 
