@@ -49,7 +49,7 @@ class RunRecord:
 
 def mass(mesh, u) -> float:
     """Lumped total mass (u, 1)^h; conserved by every scheme."""
-    return float(fem.forms(mesh).D @ np.asarray(u, dtype=float))
+    return float(mesh.D @ np.asarray(u, dtype=float))
 
 
 # the lumped mass integrates every P1 field exactly, v included
@@ -62,18 +62,17 @@ def min_nodal(field) -> float:
 
 def neg_part_l2(mesh, u) -> float:
     """Consistent L2 norm of the interpolated negative part min(u, 0)."""
-    return fem.forms(mesh).l2_norm(np.minimum(np.asarray(u, dtype=float), 0.0))
+    return fem.l2_norm(mesh, np.minimum(np.asarray(u, dtype=float), 0.0))
 
 
 def _grad_sq(mesh, v) -> float:
-    fs = fem.forms(mesh)
     v = np.asarray(v, dtype=float)
-    return float(v @ (fs.S @ v))
+    return float(v @ (mesh.S @ v))
 
 
 def _sigma_sq(mesh, sigma) -> float:
     sigma = np.asarray(sigma, dtype=float)
-    return float(fem.stack_vec(sigma) @ fem.vec_product(fem.forms(mesh).M, sigma))
+    return float(fem.stack_vec(sigma) @ fem.vec_product(mesh.M, sigma))
 
 
 def _sigma_h1_sq(mesh, sigma) -> float:
@@ -85,28 +84,26 @@ def _sigma_h1_sq(mesh, sigma) -> float:
     Then the rot/div form's x-y coupling, a boundary term, drops out and the
     norm is the H1 product ``A`` on each component."""
     sigma = np.asarray(sigma, dtype=float)
-    return float(fem.stack_vec(sigma) @ fem.vec_product(fem.forms(mesh).A, sigma))
+    return float(fem.stack_vec(sigma) @ fem.vec_product(mesh.A, sigma))
 
 
 def energy_modified(mesh, pot, cfg: SchemeConfig, state: SchemeState) -> float:
     """The scheme's dissipated energy; for 'uv' (which has none) the exact one."""
     p = cfg.p
-    fs = fem.forms(mesh)
     if cfg.scheme == "uveps":
-        return p * float(fs.D @ pot.f_value(state.u)) + 0.5 * _grad_sq(mesh, state.v)
+        return p * float(mesh.D @ pot.f_value(state.u)) + 0.5 * _grad_sq(mesh, state.v)
     if cfg.scheme == "useps":
-        return p * float(fs.D @ pot.f_value(state.u)) + 0.5 * _sigma_sq(mesh, state.sigma)
+        return p * float(mesh.D @ pot.f_value(state.u)) + 0.5 * _sigma_sq(mesh, state.sigma)
     if cfg.scheme == "us0":
         up = np.maximum(state.u, 0.0)
-        return float(fs.D @ np.power(up, p)) / (p - 1.0) + 0.5 * _sigma_sq(mesh, state.sigma)
+        return float(mesh.D @ np.power(up, p)) / (p - 1.0) + 0.5 * _sigma_sq(mesh, state.sigma)
     return energy_exact(mesh, cfg, state.u, state.v)
 
 
 def energy_exact(mesh, cfg: SchemeConfig, u, v) -> float:
     """1/(p-1) * integral of I((u_+)^p) (vertex rule) + 0.5*||grad v||^2."""
-    fs = fem.forms(mesh)
     up = np.maximum(np.asarray(u, dtype=float), 0.0)
-    return float(fs.D @ np.power(up, cfg.p)) / (cfg.p - 1.0) + 0.5 * _grad_sq(mesh, v)
+    return float(mesh.D @ np.power(up, cfg.p)) / (cfg.p - 1.0) + 0.5 * _grad_sq(mesh, v)
 
 
 def discrete_laplacian_sq(mesh, v, variant: str = "lumped") -> float:
@@ -117,13 +114,12 @@ def discrete_laplacian_sq(mesh, v, variant: str = "lumped") -> float:
     same quantity that appears in the (u, v)-scheme energy law through the
     H1-product operator minus the identity.
     """
-    fs = fem.forms(mesh)
-    sv = fs.S @ np.asarray(v, dtype=float)
+    sv = mesh.S @ np.asarray(v, dtype=float)
     if variant == "lumped":
-        w = sv / fs.D
-        return float(fs.D @ (w * w))
+        w = sv / mesh.D
+        return float(mesh.D @ (w * w))
     if variant == "consistent":
-        w = linsolve.solve_spd(fs.M, sv).x
+        w = linsolve.solve_spd(mesh.M, sv).x
         return float(sv @ w)
     raise ValueError(f"unknown Laplacian variant {variant!r}")
 
@@ -161,7 +157,6 @@ def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: Scheme
     defined for the plain scheme.
     """
     p, k = cfg.p, cfg.dt
-    fs = fem.forms(mesh)
     d_e = (energy_modified(mesh, pot, cfg, curr) - energy_modified(mesh, pot, cfg, prev)) / k
     if cfg.scheme == "uveps":
         eps_pow = pot.eps ** (2.0 - p)
@@ -169,7 +164,7 @@ def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: Scheme
         dv = (curr.v - prev.v) / k
         return (
             d_e
-            + 0.5 * k * eps_pow * p * float(du @ (fs.M @ du))
+            + 0.5 * k * eps_pow * p * float(du @ (mesh.M @ du))
             + 0.5 * k * _grad_sq(mesh, dv)
             + p * eps_pow * _grad_sq(mesh, curr.u)
             + discrete_laplacian_sq(mesh, curr.v, "consistent")
@@ -181,7 +176,7 @@ def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: Scheme
         ds = (curr.sigma - prev.sigma) / k
         return (
             d_e
-            + 0.5 * k * eps_pow * p * float(du @ (fs.M @ du))
+            + 0.5 * k * eps_pow * p * float(du @ (mesh.M @ du))
             + 0.5 * k * _sigma_sq(mesh, ds)
             + p * eps_pow * _grad_sq(mesh, curr.u)
             + _sigma_h1_sq(mesh, curr.sigma)
@@ -202,10 +197,9 @@ def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: Scheme
 def mean_v_balance(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: SchemeState) -> float:
     """Residual of the mean balance d_t(int v) + int v - production = 0."""
     k = cfg.dt
-    fs = fem.forms(mesh)
     if cfg.needs_eps:
-        production = cfg.p * (cfg.p - 1.0) * float(fs.D @ pot.f_value(curr.u))
+        production = cfg.p * (cfg.p - 1.0) * float(mesh.D @ pot.f_value(curr.u))
     else:
-        production = float(fs.D @ np.power(np.maximum(curr.u, 0.0), cfg.p))
+        production = float(mesh.D @ np.power(np.maximum(curr.u, 0.0), cfg.p))
     lhs = (mean_v(mesh, curr.v) - mean_v(mesh, prev.v)) / k + mean_v(mesh, curr.v)
     return lhs - production

@@ -1,30 +1,28 @@
-"""P1 fields, quadrature, projections, and bilinear-form assembly.
+"""P1 fields, quadrature, projections, loads and convection assembly.
 
 Scalar fields are plain (n_nodes,) arrays, vector fields (n_nodes, 2)
 arrays.  The sigma linear system stacks vector DOFs block-wise:
-[all x-components, all y-components].
+[all x-components, all y-components].  The operators that depend on the
+mesh alone (``D``, ``M``, ``S``, ``A``) are attributes of the mesh.
 
 Quadrature policy: products of piecewise-constant data with hat gradients
 are integrated exactly; P1 x P1 products use the exact consistent mass;
 nodal nonlinearities combined with a test function use the three-vertex
-rule, i.e. the lumped load ``lumped_mass_diag * values``.
+rule, i.e. the lumped load ``mesh.D * values``.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .mesh import CORNER, EDGE_X, EDGE_Y, StructuredTriMesh
+from .mesh import _MASS_BASE, CORNER, EDGE_X, EDGE_Y
 
 __all__ = [
-    "lumped_mass_diag",
-    "consistent_mass",
-    "stiffness",
     "sigma_fixed_mask",
+    "l2_norm",
+    "l2_norm_vec",
     "convection_u",
     "interp",
     "project_Qh",
@@ -39,12 +37,7 @@ __all__ = [
     "stack_vec",
     "unstack_vec",
     "vec_product",
-    "forms",
-    "FormSet",
 ]
-
-# (ones + I)/12 scaled by area is the local P1 mass matrix
-_MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 # 6-point degree-4 triangle rule (barycentric points, weights summing to 1)
 _QW4 = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
@@ -61,57 +54,9 @@ _QP4 = np.array(
 )
 
 
-def _p1_pattern(mesh):
-    """Scatter plan of the P1 sparsity pattern: (slot, indices, indptr).
-
-    ``slot[9*e + 3*i + j]`` is the CSR position of the (i, j) entry of
-    element e's local block; ``indices``/``indptr`` describe the pattern
-    with sorted column indices.
-    """
-    el = mesh.elements
-    n = mesh.n_nodes
-    keys = (np.repeat(el, 3, axis=1) * n + np.tile(el, (1, 3))).ravel()
-    # np.unique's plan without its pass to invert the sort: number the runs
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    keys = keys[first]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return slot, (keys % n).astype(np.int32), indptr
-
-
-def _scatter_matrix(mesh, local):
-    """Assemble (E,3,3) local blocks into a CSR matrix on the P1 pattern."""
-    slot, indices, indptr = forms(mesh).pattern
-    data = np.bincount(slot, weights=local.ravel(), minlength=indices.size)
-    n = mesh.n_nodes
-    # the index arrays are copied: scipy may rewrite them in place
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-
-
 def _scatter_vector(mesh, local):
     """Sum (E,3) per-element vertex contributions into a nodal vector."""
     return np.bincount(mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
-
-
-def lumped_mass_diag(mesh) -> np.ndarray:
-    """Diagonal of the lumped mass matrix: sum of |K|/3 over elements at each node."""
-    return _scatter_vector(mesh, np.repeat((mesh.areas / 3.0)[:, None], 3, axis=1))
-
-
-def consistent_mass(mesh) -> sp.csr_matrix:
-    """Exact P1 mass matrix; row sums reproduce the lumped diagonal."""
-    local = mesh.areas[:, None, None] * _MASS_BASE
-    return _scatter_matrix(mesh, local)
-
-
-def stiffness(mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix; symmetric PSD with constants in the kernel."""
-    local = mesh.areas[:, None, None] * np.einsum("eik,ejk->eij", mesh.grads, mesh.grads)
-    return _scatter_matrix(mesh, local)
 
 
 def sigma_fixed_mask(mesh) -> np.ndarray:
@@ -143,6 +88,18 @@ def vec_product(op, w: np.ndarray) -> np.ndarray:
     return np.concatenate([op @ w[:, 0], op @ w[:, 1]])
 
 
+def l2_norm(mesh, u) -> float:
+    """Consistent L2 norm of a nodal scalar field."""
+    u = np.asarray(u, dtype=float)
+    return float(np.sqrt(max(u @ (mesh.M @ u), 0.0)))
+
+
+def l2_norm_vec(mesh, w) -> float:
+    """Consistent L2 norm of a (N,2) vector field."""
+    w = np.asarray(w, dtype=float)
+    return float(np.sqrt(max(stack_vec(w) @ vec_product(mesh.M, w), 0.0)))
+
+
 def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
     """Matrix C with C[i, j] = integral of phi_j * (w . grad phi_i).
 
@@ -167,7 +124,7 @@ def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
         local = mesh.grads @ mw.transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return _scatter_matrix(mesh, local)
+    return mesh.assemble(local)
 
 
 def interp(mesh, g) -> np.ndarray:
@@ -188,8 +145,7 @@ def project_Qh(mesh, u) -> np.ndarray:
     Preserves the mass (q, 1)^h = (u, 1) and maps constants to themselves.
     """
     un = interp(mesh, u)
-    f = forms(mesh)
-    return (f.M @ un) / f.D
+    return (mesh.M @ un) / mesh.D
 
 
 def project_Qh_vec(mesh, w_elem) -> np.ndarray:
@@ -198,12 +154,11 @@ def project_Qh_vec(mesh, w_elem) -> np.ndarray:
     w = np.asarray(w_elem, dtype=float)
     if w.shape != (mesh.n_elements, 2):
         raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")
-    f = forms(mesh)
     out = np.empty((mesh.n_nodes, 2))
     for c in range(2):
         rhs = _scatter_vector(mesh, np.repeat((mesh.areas / 3.0 * w[:, c])[:, None], 3, axis=1))
-        out[:, c] = linsolve.solve_spd(f.M, rhs).x
-    out[unstack_vec(f.sigma_fixed)] = 0.0
+        out[:, c] = linsolve.solve_spd(mesh.M, rhs).x
+    out[unstack_vec(sigma_fixed_mask(mesh))] = 0.0
     return out
 
 
@@ -252,7 +207,7 @@ def tensor_inverse(mesh, c: float):
     # corner columns; with Z = (T0^{-1} E)^T and Z_E = Z E its inverse is
     # T0^{-1} - Z^T (I + delta Z_E)^{-1} delta E^T T0^{-1}
     corners = np.array([0, nx, ny * (nx + 1), mesh.n_nodes - 1])
-    delta = c * (forms(mesh).D[corners] - hx * hy / 4.0)
+    delta = c * (mesh.D[corners] - hx * hy / 4.0)
     e = np.zeros((4, mesh.n_nodes))
     e[np.arange(4), corners] = 1.0
     z = np.stack([tensor(col) for col in e])
@@ -299,7 +254,7 @@ def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
     rhs = _scatter_vector(mesh, local)
     # by the size rule: one LU up to the bound, and above it CG
     # preconditioned by (D + S)^{-1}, a few iterations (linsolve table)
-    solver = linsolve.SPDSolver(forms(mesh).A, precond=lambda: tensor_inverse(mesh, 1.0))
+    solver = linsolve.SPDSolver(mesh.A, precond=lambda: tensor_inverse(mesh, 1.0))
     return linsolve.solve_spd(solver, rhs).x
 
 
@@ -325,7 +280,7 @@ def weighted_gradient_load(mesh, c_elem, w_elem) -> np.ndarray:
 
 def lumped_load(mesh, values) -> np.ndarray:
     """Vertex-quadrature load of a nodal integrand: D * values."""
-    return forms(mesh).D * np.asarray(values, dtype=float)
+    return mesh.D * np.asarray(values, dtype=float)
 
 
 def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
@@ -340,72 +295,3 @@ def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
     m = mesh.areas[:, None] / 12.0 * (uloc + uloc.sum(axis=1, keepdims=True))  # M_K u
     return np.concatenate([_scatter_vector(mesh, g[:, c : c + 1] * m) for c in range(2)])
 
-
-class FormSet:
-    """Lazily assembled operators for one mesh, shared across modules."""
-
-    def __init__(self, mesh):
-        # held weakly: the FormSet is the value of a weak-keyed cache entry
-        # for this mesh, and a strong reference would keep that key alive
-        self._mesh = weakref.ref(mesh)
-        self._cache = {}
-
-    def _get(self, name, builder):
-        if name not in self._cache:
-            mesh = self._mesh()
-            if mesh is None:
-                raise ReferenceError("the mesh of this FormSet has been freed")
-            self._cache[name] = builder(mesh)
-        return self._cache[name]
-
-    @property
-    def pattern(self):
-        """Scatter plan of the P1 pattern shared by every scalar P1 matrix."""
-        return self._get("pattern", _p1_pattern)
-
-    @property
-    def D(self) -> np.ndarray:
-        return self._get("D", lumped_mass_diag)
-
-    @property
-    def M(self) -> sp.csr_matrix:
-        return self._get("M", consistent_mass)
-
-    @property
-    def S(self) -> sp.csr_matrix:
-        return self._get("S", stiffness)
-
-    @property
-    def A(self) -> sp.csr_matrix:
-        """The H1 product (grad u, grad v) + (u, v); symmetric PD."""
-        return self._get("A", lambda m: self.S + self.M)
-
-    @property
-    def sigma_fixed(self) -> np.ndarray:
-        return self._get("fixed", sigma_fixed_mask)
-
-    @property
-    def sigma_free(self) -> np.ndarray:
-        return self._get("free", lambda m: np.flatnonzero(~self.sigma_fixed))
-
-    def l2_norm(self, u) -> float:
-        """Consistent L2 norm of a nodal scalar field."""
-        u = np.asarray(u, dtype=float)
-        return float(np.sqrt(max(u @ (self.M @ u), 0.0)))
-
-    def l2_norm_vec(self, w) -> float:
-        """Consistent L2 norm of a (N,2) vector field."""
-        w = np.asarray(w, dtype=float)
-        return float(np.sqrt(max(stack_vec(w) @ vec_product(self.M, w), 0.0)))
-
-
-_FORMS: "weakref.WeakKeyDictionary[StructuredTriMesh, FormSet]" = weakref.WeakKeyDictionary()
-
-
-def forms(mesh) -> FormSet:
-    """Shared per-mesh operator cache."""
-    fs = _FORMS.get(mesh)
-    if fs is None:
-        fs = FormSet(mesh)
-        _FORMS[mesh] = fs
-    return fs

@@ -1,15 +1,20 @@
-"""Structured right-triangle mesh of an axis-aligned rectangle.
+"""Structured right-triangle mesh of an axis-aligned rectangle and its P1
+operators.
 
 Every element carries its right angle at local vertex 0 with both legs
 axis-aligned.  The element-wise transport operators rely on exactly this
 structure: gradients of P1 functions decompose along the two legs, so
 diagonal matrices in the global frame can realize leg-wise difference
-quotients.
+quotients.  The mesh assembles the operators that depend on it alone (the
+lumped and consistent mass, the stiffness and the H1 product) when it is
+built, on one scatter plan of the P1 sparsity pattern that
+:meth:`StructuredTriMesh.assemble` also serves to iterate-dependent forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "StructuredTriMesh",
@@ -27,6 +32,9 @@ EDGE_X = 1
 EDGE_Y = 2
 CORNER = 3
 
+# (ones + I)/12 scaled by area is the local P1 mass matrix
+_MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
 
 class StructuredTriMesh:
     """Conforming triangulation of [0,lx] x [0,ly] into right triangles.
@@ -37,8 +45,8 @@ class StructuredTriMesh:
     with a0 the right-angle vertex: on every element the leg a0->a1 runs
     along y and the leg a0->a2 along x.
 
-    Treat instances as immutable: assembled operators are cached per mesh
-    and shared across threads.
+    Every attribute is set by the constructor and never changed, so an
+    instance can be shared across threads.
 
     Attributes
     ----------
@@ -48,6 +56,11 @@ class StructuredTriMesh:
     areas : (n_elements,) element areas
     grads : (n_elements, 3, 2) constant gradients of the three hat functions
     h : max element diameter (the cell hypotenuse)
+    D : (n_nodes,) lumped mass, the sum of |K|/3 over the elements at each
+        node; the lumped product is (u, w)^h = (D u) . w
+    M : CSR consistent mass; its row sums reproduce D
+    S : CSR stiffness; symmetric PSD with the constants in its kernel
+    A : CSR H1 product (grad u, grad w) + (u, w) = S + M; symmetric PD
     """
 
     def __init__(self, nx: int, ny: int, lx: float, ly: float):
@@ -94,6 +107,15 @@ class StructuredTriMesh:
 
         self.areas, self.grads = self._geometry()
 
+        self._plan = self._p1_plan()
+        lumped = np.repeat((self.areas / 3.0)[:, None], 3, axis=1)
+        self.D = np.bincount(self.elements.ravel(), weights=lumped.ravel(), minlength=self.n_nodes)
+        self.M = self.assemble(self.areas[:, None, None] * _MASS_BASE)
+        self.S = self.assemble(
+            self.areas[:, None, None] * np.einsum("eik,ejk->eij", self.grads, self.grads)
+        )
+        self.A = self.S + self.M
+
     # -- derived geometry ---------------------------------------------------
 
     def _geometry(self):
@@ -110,6 +132,37 @@ class StructuredTriMesh:
             grads[:, i, 0] = (a[:, 1] - b[:, 1]) / twice_area
             grads[:, i, 1] = (b[:, 0] - a[:, 0]) / twice_area
         return areas, grads
+
+    # -- P1 assembly ----------------------------------------------------------
+
+    def _p1_plan(self):
+        """Scatter plan of the P1 sparsity pattern: (slot, indices, indptr).
+
+        ``slot[9*e + 3*i + j]`` is the CSR position of the (i, j) entry of
+        element e's local block; ``indices``/``indptr`` describe the pattern
+        with sorted column indices.
+        """
+        el = self.elements
+        n = self.n_nodes
+        keys = (np.repeat(el, 3, axis=1) * n + np.tile(el, (1, 3))).ravel()
+        # np.unique's plan without its pass to invert the sort: number the runs
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        keys = keys[first]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return slot, (keys % n).astype(np.int32), indptr
+
+    def assemble(self, local) -> sp.csr_matrix:
+        """Assemble (E,3,3) local blocks into a CSR matrix on the P1 pattern."""
+        slot, indices, indptr = self._plan
+        data = np.bincount(slot, weights=local.ravel(), minlength=indices.size)
+        n = self.n_nodes
+        # the index arrays are copied: scipy may rewrite them in place
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
     # -- basic queries --------------------------------------------------------
 

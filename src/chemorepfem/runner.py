@@ -168,7 +168,7 @@ def write_series(path, records: List[diagnostics.RunRecord]):
 @dataclass
 class RunResult:
     records: List[diagnostics.RunRecord]
-    state: SchemeState
+    state: Optional[SchemeState]  # None if the set-up failed
     status: str  # ok | picard-failure | solver-failure | non-finite
     detail: str = ""
 
@@ -217,10 +217,10 @@ def start(rc: RunConfig):
 def execute_run(rc: RunConfig) -> RunResult:
     """Run the time loop and collect records; no filesystem side effects.
     Output steps are checked for non-finite diagnostics, others for fields."""
-    ops, state = start(rc)
-    records = []
+    records, state = [], None
     status, detail = "ok", ""
     try:
+        ops, state = start(rc)
         records.append(_record(ops, state))
         for prev, state, report in ops.march(state, rc.steps):
             if state.step % rc.output_every == 0 or state.step == rc.steps:
@@ -238,9 +238,17 @@ def execute_run(rc: RunConfig) -> RunResult:
     return RunResult(records, state, status, detail)
 
 
+def _make_dir(path):
+    """Create an output directory; a path that cannot be one is a bad config."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
+
+
 def run(rc: RunConfig) -> RunResult:
     """Execute and serialize one run into its output directory."""
-    os.makedirs(rc.out_dir, exist_ok=True)
+    _make_dir(rc.out_dir)
     result = execute_run(rc)
     write_series(os.path.join(rc.out_dir, "series.csv"), result.records)
     echo_config(os.path.join(rc.out_dir, "config.echo"), rc)
@@ -284,7 +292,7 @@ def sweep(
         rc = replace(base, scheme=scheme, p=p, eps=eps)
         name = f"{scheme}_p{p:g}_eps{_eps_tag(rc.eps)}"
         runs.setdefault(name, replace(rc, out_dir=os.path.join(out_dir, name)))
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_worker, runs.values()))

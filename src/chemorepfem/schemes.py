@@ -217,18 +217,16 @@ class Workspace:
     def __init__(self, mesh, cfg: SchemeConfig):
         self.mesh = mesh
         self.cfg = cfg
-        self.fs = fem.forms(mesh)
         self.pot = RegularizedPotential(cfg.p, cfg.eps) if cfg.needs_eps else None
         k = cfg.dt
-        fs = self.fs
         # v-equation operator (also the recovery operator): M/k + S + M
-        self.A_v = (fs.M / k + fs.A).tocsr()
+        self.A_v = (mesh.M / k + mesh.A).tocsr()
         # u-equation base: plain backward Euler uses the consistent mass,
         # the lumped schemes the diagonal one
         if cfg.scheme == "uv":
-            self.A_u = (fs.M / k + fs.S).tocsr()
+            self.A_u = (mesh.M / k + mesh.S).tocsr()
         else:
-            self.A_u = (sp.diags(fs.D) / k + fs.S).tocsr()
+            self.A_u = (sp.diags(mesh.D) / k + mesh.S).tocsr()
         # one solver per constant SPD operator: the u-matrix is one only
         # for uveps, the others add convection to it on every iterate
         self.v_solver = linsolve.SPDSolver(self.A_v)
@@ -240,7 +238,7 @@ class Workspace:
         if cfg.uses_sigma:
             # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
             # x-y coupling is a boundary term, each entry at a clamped DOF
-            free = fs.sigma_free
+            free = self.sigma_free = np.flatnonzero(~fem.sigma_fixed_mask(mesh))
             self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
 
@@ -248,11 +246,11 @@ class Workspace:
 
     def _change(self, new, old, vec: bool) -> float:
         if vec:
-            num = self.fs.l2_norm_vec(new - old)
-            den = self.fs.l2_norm_vec(old)
+            num = fem.l2_norm_vec(self.mesh, new - old)
+            den = fem.l2_norm_vec(self.mesh, old)
         else:
-            num = self.fs.l2_norm(new - old)
-            den = self.fs.l2_norm(old)
+            num = fem.l2_norm(self.mesh, new - old)
+            den = fem.l2_norm(self.mesh, old)
         return num / max(den, _CHANGE_FLOOR)
 
     # -- the three solves of a Picard iterate ----------------------------------
@@ -260,7 +258,7 @@ class Workspace:
     def _solve_u(self, u_load, ul, wl):
         """The u-equation: one backward-Euler step from the step's mass load
         ``u_load`` with the transport frozen at the iterate (``ul``, ``wl``)."""
-        cfg, mesh, fs = self.cfg, self.mesh, self.fs
+        cfg, mesh = self.cfg, self.mesh
         p = cfg.p
         if cfg.scheme == "uveps":
             w = lambda2(self.pot, mesh, ul) * fem.grad_p1(mesh, wl)
@@ -275,7 +273,7 @@ class Workspace:
         if cfg.scheme == "us0":
             c, g = us0_diffusion_terms(mesh, ul, p)
             # frozen degenerate diffusion on the right, linear stabilizer on the left
-            rhs = rhs + fs.S @ ul - fem.weighted_gradient_load(mesh, c, g) / (p - 1.0)
+            rhs = rhs + mesh.S @ ul - fem.weighted_gradient_load(mesh, c, g) / (p - 1.0)
         r = linsolve.solve_general(self.A_u + conv, rhs, cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
@@ -288,7 +286,7 @@ class Workspace:
         if cfg.scheme == "uveps":
             # interpolated-potential load with the exact P1 x P1 product: the
             # energy cancellation against the chemotaxis term needs this form
-            load = p * (p - 1.0) * (self.fs.M @ self.pot.f_value(u))
+            load = p * (p - 1.0) * (self.mesh.M @ self.pot.f_value(u))
         elif cfg.scheme == "useps":
             load = p * (p - 1.0) * fem.lumped_load(self.mesh, self.pot.f_value(u))
         else:
@@ -308,7 +306,7 @@ class Workspace:
             coef, h = p / (p - 1.0), np.power(_pos(u), p - 1.0)
         load = coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
         rhs = sigma_load + load
-        free = self.fs.sigma_free
+        free = self.sigma_free
         x0_free = fem.stack_vec(x0)[free]
         r = linsolve.solve_spd(self.sigma_solver, rhs[free], cfg.linear_tol, x0=x0_free)
         full = np.zeros(2 * mesh.n_nodes)
@@ -341,14 +339,14 @@ class Workspace:
         from the previous v), so diagnostics always see a consistent
         (u, v, sigma) triple.
         """
-        cfg, fs, k = self.cfg, self.fs, self.cfg.dt
+        cfg, mesh, k = self.cfg, self.mesh, self.cfg.dt
         vec = cfg.uses_sigma
         solve_w = self._solve_sigma if vec else self._solve_v
         ul = state.u
         wl = state.sigma if vec else state.v
         # the mass terms of both right-hand sides are fixed by the step's start
-        u_load = (fs.M @ state.u) / k if cfg.scheme == "uv" else fs.D * state.u / k
-        w_load = fem.vec_product(fs.M, wl) / k if vec else (fs.M @ wl) / k
+        u_load = (mesh.M @ state.u) / k if cfg.scheme == "uv" else mesh.D * state.u / k
+        w_load = fem.vec_product(mesh.M, wl) / k if vec else (mesh.M @ wl) / k
         max_solver = 0
         change = np.inf
         omega = 1.0
@@ -384,7 +382,7 @@ class Workspace:
             raise PicardError(cfg.scheme, state.step + 1, report, bad)
         new = self._pack(state, ul, wl)
         if vec:
-            new.v, it_v = self._solve_v((fs.M @ state.v) / k, new.u, x0=state.v)
+            new.v, it_v = self._solve_v((mesh.M @ state.v) / k, new.u, x0=state.v)
             max_solver = max(max_solver, it_v)
         return new, PicardReport(it, change, max_solver)
 

@@ -36,7 +36,7 @@ def test_mass_values(mesh):
     assert mass(mesh, np.ones(mesh.n_nodes)) == pytest.approx(4.0, rel=1e-13)
     hat = np.zeros(mesh.n_nodes)
     hat[10] = 1.0
-    assert mass(mesh, hat) == pytest.approx(fem.lumped_mass_diag(mesh)[10], rel=1e-14)
+    assert mass(mesh, hat) == pytest.approx(mesh.D[10], rel=1e-14)
     rng = np.random.default_rng(1)
     u, w = rng.normal(size=(2, mesh.n_nodes))
     assert mass(mesh, 2 * u + 3 * w) == pytest.approx(
@@ -82,8 +82,8 @@ def test_energy_modified_sigma_schemes(mesh):
     u = rng.uniform(0.5, 2.0, mesh.n_nodes)
     sig = rng.normal(size=(mesh.n_nodes, 2))
     st = state(mesh, u, np.zeros(mesh.n_nodes), sig)
-    term1 = 1.5 * float(fem.lumped_mass_diag(mesh) @ pot.f_value(u))
-    m = fem.consistent_mass(mesh)
+    term1 = 1.5 * float(mesh.D @ pot.f_value(u))
+    m = mesh.M
     term2 = 0.5 * sum(float(sig[:, c] @ (m @ sig[:, c])) for c in range(2))
     assert energy_modified(mesh, pot, cfg, st) == pytest.approx(term1 + term2, rel=1e-12)
 
@@ -137,7 +137,7 @@ def test_residual_re_decomposition(mesh):
     g = fem.grad_p1(mesh, np.maximum(u1, 0.0) ** (cfg.p / 2.0))
     grad_term = (4.0 / cfg.p) * float(mesh.areas @ np.einsum("ed,ed->e", g, g))
     lap = discrete_laplacian_sq(mesh, v1, "lumped")
-    gv = float(v1 @ (fem.stiffness(mesh) @ v1))
+    gv = float(v1 @ (mesh.S @ v1))
     assert re == pytest.approx(d_e + grad_term + lap + gv, rel=1e-12)
     with pytest.raises(ValueError):
         residual_RE(mesh, cfg, (u0[:-1], v0), (u1, v1))

@@ -43,12 +43,12 @@ def sympy_local_integrals(mesh, e, integrand):
 
 def lumped_mass(mesh):
     """Lumped (vertex-quadrature) mass matrix; trace equals the domain area."""
-    return sp.diags(fem.lumped_mass_diag(mesh)).tocsr()
+    return sp.diags(mesh.D).tocsr()
 
 
 def h_norm(mesh, u):
     """Lumped (mass-lumping) norm |u|_h."""
-    return float(np.sqrt(max(fem.forms(mesh).D @ (u * u), 0.0)))
+    return float(np.sqrt(max(mesh.D @ (u * u), 0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +62,14 @@ def small_mesh():
 
 
 def test_lumped_mass_unit_square(unit_mesh):
-    d = fem.lumped_mass_diag(unit_mesh)
+    d = unit_mesh.D
     # diagonal nodes (0,0) and (1,1) sit in both triangles
     assert d == pytest.approx([1 / 3, 1 / 6, 1 / 6, 1 / 3], rel=1e-14)
     assert d.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_lumped_mass_properties(small_mesh):
-    d = fem.lumped_mass_diag(small_mesh)
+    d = small_mesh.D
     assert d.sum() == pytest.approx(4.0, rel=1e-13)  # (1,1)^h = |Omega|
     rng = np.random.default_rng(3)
     u = rng.normal(size=small_mesh.n_nodes)
@@ -78,7 +78,7 @@ def test_lumped_mass_properties(small_mesh):
 
 
 def test_consistent_mass_against_sympy(unit_mesh):
-    m_dense = fem.consistent_mass(unit_mesh).toarray()
+    m_dense = unit_mesh.M.toarray()
     oracle = np.zeros_like(m_dense)
     for e in range(unit_mesh.n_elements):
         loc = sympy_local_integrals(
@@ -92,13 +92,13 @@ def test_consistent_mass_against_sympy(unit_mesh):
 
 
 def test_consistent_mass_rowsums_match_lumped(small_mesh):
-    m = fem.consistent_mass(small_mesh)
-    d = fem.lumped_mass_diag(small_mesh)
+    m = small_mesh.M
+    d = small_mesh.D
     assert np.asarray(m.sum(axis=1)).ravel() == pytest.approx(d, abs=1e-14)
 
 
 def test_stiffness_against_sympy(unit_mesh):
-    s_dense = fem.stiffness(unit_mesh).toarray()
+    s_dense = unit_mesh.S.toarray()
     oracle = np.zeros_like(s_dense)
     for e in range(unit_mesh.n_elements):
         loc = sympy_local_integrals(
@@ -110,7 +110,7 @@ def test_stiffness_against_sympy(unit_mesh):
 
 
 def test_stiffness_kernel_and_psd(small_mesh):
-    s = fem.stiffness(small_mesh)
+    s = small_mesh.S
     const = np.full(small_mesh.n_nodes, 3.7)
     assert np.abs(s @ const).max() <= 1e-13
     rng = np.random.default_rng(5)
@@ -120,11 +120,11 @@ def test_stiffness_kernel_and_psd(small_mesh):
 
 
 def test_op_Ah_spd_and_decomposition(small_mesh):
-    a = fem.forms(small_mesh).A.toarray()
+    a = small_mesh.A.toarray()
     assert a == pytest.approx(a.T, abs=1e-14)
     assert np.linalg.eigvalsh(a).min() > 0
-    s = fem.stiffness(small_mesh).toarray()
-    m = fem.consistent_mass(small_mesh).toarray()
+    s = small_mesh.S.toarray()
+    m = small_mesh.M.toarray()
     assert a == pytest.approx(s + m, abs=1e-15)
 
 
@@ -212,8 +212,8 @@ def test_project_Qh(small_mesh):
     rng = np.random.default_rng(13)
     u = rng.normal(size=small_mesh.n_nodes)
     q = fem.project_Qh(small_mesh, u)
-    d = fem.lumped_mass_diag(small_mesh)
-    m = fem.consistent_mass(small_mesh)
+    d = small_mesh.D
+    m = small_mesh.M
     assert d @ q == pytest.approx(np.sum(m @ u), rel=1e-12)  # (q,1)^h = (u,1)
     # dense oracle: D^{-1} M u
     hat = np.zeros(small_mesh.n_nodes)
@@ -235,7 +235,7 @@ def test_project_Qh_vec(small_mesh):
     rng = np.random.default_rng(17)
     w = rng.normal(size=(small_mesh.n_elements, 2))
     q = fem.project_Qh_vec(small_mesh, w)
-    m = fem.consistent_mass(small_mesh).toarray()
+    m = small_mesh.M.toarray()
     for c in range(2):
         rhs = np.zeros(n)
         for e, tri in enumerate(small_mesh.elements):
@@ -278,7 +278,7 @@ def test_project_Rh_converges_under_refinement():
         m = build_rect_mesh(nx, nx, 2.0, 2.0)
         vh = fem.project_Rh(m, v)
         diff = vh - fem.interp(m, v)
-        errs.append(fem.forms(m).l2_norm(diff))
+        errs.append(fem.l2_norm(m, diff))
     # interpolant-vs-projection gap shrinks under refinement
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
@@ -314,7 +314,7 @@ def test_loads_against_direct_sums(small_mesh):
 
     f = rng.normal(size=small_mesh.n_nodes)
     assert fem.lumped_load(small_mesh, f) == pytest.approx(
-        fem.lumped_mass_diag(small_mesh) * f, rel=1e-15
+        small_mesh.D * f, rel=1e-15
     )
 
 
@@ -347,16 +347,15 @@ def test_norm_equivalence_constants_stable_under_refinement():
     rng = np.random.default_rng(37)
     for nx in (4, 8, 16):
         m = build_rect_mesh(nx, nx, 2.0, 2.0)
-        d = np.diag(fem.lumped_mass_diag(m))
-        mm = fem.consistent_mass(m).toarray()
+        d = np.diag(m.D)
+        mm = m.M.toarray()
         w = eigh(d, mm, eigvals_only=True)
         c, big_c = np.sqrt(w.min()), np.sqrt(w.max())
         cs.append(c)
         Cs.append(big_c)
-        fs = fem.forms(m)
         for _ in range(50):
             u = rng.normal(size=m.n_nodes)
-            ratio = h_norm(m, u) / fs.l2_norm(u)
+            ratio = h_norm(m, u) / fem.l2_norm(m, u)
             assert c * (1 - 1e-12) <= ratio <= big_c * (1 + 1e-12)
     assert max(cs) / min(cs) <= 1.1
     assert max(Cs) / min(Cs) <= 1.1
@@ -365,8 +364,8 @@ def test_norm_equivalence_constants_stable_under_refinement():
 def test_interpolated_square_inequality(small_mesh):
     # nodally (I u)^2 equals I(u^2); in integral the lumped side dominates
     rng = np.random.default_rng(41)
-    m = fem.consistent_mass(small_mesh)
-    d = fem.lumped_mass_diag(small_mesh)
+    m = small_mesh.M
+    d = small_mesh.D
     for _ in range(10):
         u = rng.normal(size=small_mesh.n_nodes)
         assert np.array_equal(u**2, fem.interp(small_mesh, u) ** 2)
@@ -411,7 +410,7 @@ def test_scatter_plan_matches_coo_assembly(nx, ny):
     m = build_rect_mesh(nx, ny, 2.0, 3.0)
     rng = np.random.default_rng(43)
     local = rng.normal(size=(m.n_elements, 3, 3))
-    assert_same_matrix(fem._scatter_matrix(m, local), coo_assembly(m, local))
+    assert_same_matrix(m.assemble(local), coo_assembly(m, local))
 
     w = rng.normal(size=(m.n_nodes, 2))
     mw = m.areas[:, None, None] * np.einsum("jm,emd->ejd", fem._MASS_BASE, w[m.elements])
@@ -441,19 +440,18 @@ def test_loads_match_add_at_reference():
     assert np.array_equal(fem.mixed_vector_load(m, u, w), ref)
 
 
-def test_forms_cache_frees_its_mesh():
+def test_workspace_and_mesh_free_without_the_cycle_collector():
     mesh = build_rect_mesh(4, 4, 2.0, 2.0)
     ws = Workspace(mesh, SchemeConfig("useps", p=1.5, dt=1e-2, eps=1e-2))
-    assert fem._FORMS[mesh] is ws.fs and ws.fs.pattern is not None
-    mesh_ref, forms_ref = weakref.ref(mesh), weakref.ref(ws.fs)
-    del mesh, ws
-    gc.collect()
-    assert mesh_ref() is None
-    assert forms_ref() is None  # the cache entry went with its mesh
-    orphan = fem.forms(build_rect_mesh(2, 2, 1.0, 1.0))
-    gc.collect()
-    with pytest.raises(ReferenceError):
-        orphan.M
+    mesh_ref, mass_ref = weakref.ref(mesh), weakref.ref(mesh.M)
+    gc.disable()
+    try:
+        del mesh, ws
+        # reference counting alone frees both: no cycle holds them
+        assert mesh_ref() is None
+        assert mass_ref() is None
+    finally:
+        gc.enable()
 
 
 # -- the sigma operator from A against the rot/div form; R_h by one LU --------
@@ -499,7 +497,7 @@ def boundary_couplings(mesh):
 def test_sigma_operator_is_A_v_twice_on_the_free_dofs(m):
     cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3)
     orc = DenseOracle(m, cfg)
-    free = fem.forms(m).sigma_free
+    free = np.flatnonzero(~fem.sigma_fixed_mask(m))
     assert np.array_equal(free, orc.sigma_free)
     # the rot/div cross block holds exactly the boundary couplings, each +-1/2
     scale = np.abs(orc.B).max()
@@ -514,7 +512,7 @@ def test_sigma_operator_is_A_v_twice_on_the_free_dofs(m):
     ref = (orc.M2 / cfg.dt + orc.B)[ix]
     a_sig = Workspace(m, cfg).A_sig_red.toarray()
     assert np.abs(a_sig - ref).max() <= 1e-15 * np.abs(ref).max()
-    a = fem.forms(m).A
+    a = m.A
     blocks = sp.block_diag([a, a]).toarray()[ix]
     assert np.abs(blocks - orc.B[ix]).max() <= 1e-15 * scale
 
@@ -539,7 +537,7 @@ def test_op_Bh_constant_and_linear_fields(small_mesh):
 
 def test_op_Bh_spd_on_constrained_space(small_mesh):
     b = _oracle_Bh(small_mesh)
-    free = fem.forms(small_mesh).sigma_free
+    free = np.flatnonzero(~fem.sigma_fixed_mask(small_mesh))
     bred = b[np.ix_(free, free)]
     assert bred == pytest.approx(bred.T, abs=1e-13)
     assert np.linalg.eigvalsh(bred).min() > 0
@@ -548,7 +546,7 @@ def test_op_Bh_spd_on_constrained_space(small_mesh):
 def test_vec_product_is_the_block_diagonal_product():
     m = build_rect_mesh(7, 5, 2.0, 3.0)
     w = np.random.default_rng(53).normal(size=(m.n_nodes, 2))
-    for op in (fem.forms(m).M, fem.forms(m).A):
+    for op in (m.M, m.A):
         ref = sp.block_diag([op, op], format="csr") @ fem.stack_vec(w)
         assert np.array_equal(fem.vec_product(op, w), ref)
 
@@ -556,7 +554,7 @@ def test_vec_product_is_the_block_diagonal_product():
 @settings(max_examples=40, deadline=None)
 @given(m=meshes)
 def test_p1_pattern_matches_scipy_sum_duplicates(m):
-    slot, indices, indptr = fem._p1_pattern(m)
+    slot, indices, indptr = m._plan
     rows = np.repeat(m.elements, 3, axis=1).ravel()
     cols = np.tile(m.elements, (1, 3)).ravel()
     n = m.n_nodes
@@ -628,12 +626,11 @@ def test_stiffness_and_lumped_mass_are_tensor_products(m):
     wx, wy = _trapezoid(m.nx), _trapezoid(m.ny)
     kron = (hy / hx) * sp.kron(wy, _second_difference(m.nx))
     kron += (hx / hy) * sp.kron(_second_difference(m.ny), wx)
-    fs = fem.forms(m)
-    assert abs(fs.S - kron).max() <= 1e-14 * abs(fs.S).max()
+    assert abs(m.S - kron).max() <= 1e-14 * abs(m.S).max()
     d = hx * hy * sp.kron(wy, wx).diagonal()
     corners = [0, m.nx, m.ny * (m.nx + 1), m.n_nodes - 1]
     d[corners] = hx * hy * np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3])
-    assert fs.D == pytest.approx(d, rel=1e-14)
+    assert m.D == pytest.approx(d, rel=1e-14)
 
 
 @pytest.mark.parametrize("c", [1e4, 1e2, 1.0])
@@ -643,10 +640,9 @@ def test_stiffness_and_lumped_mass_are_tensor_products(m):
 )
 def test_tensor_inverse_matches_a_sparse_direct_solve(shape, c):
     m = build_rect_mesh(*shape)
-    fs = fem.forms(m)
     b = np.random.default_rng(61).normal(size=m.n_nodes)
     kept = b.copy()
-    ref = spla.spsolve(sp.csc_matrix(c * sp.diags(fs.D) + fs.S), b)
+    ref = spla.spsolve(sp.csc_matrix(c * sp.diags(m.D) + m.S), b)
     x = fem.tensor_inverse(m, c)(b)
     assert np.array_equal(b, kept)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)

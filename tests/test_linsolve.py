@@ -290,7 +290,7 @@ def test_exhausted_solves_raise_scipy_residual(monkeypatch):
     # and both solves run to their cap of 10 n iterations, BiCGStab twice;
     # on consistent systems BiCGStab breaks down before its cap instead
     mesh = build_rect_mesh(6, 6, 2.0, 2.0)
-    A = fem.forms(mesh).S.tocsr()
+    A = mesh.S.tocsr()
     b, _ = _rhs_and_start(A, False, seed=9)
     cap = 10 * b.size
     with pytest.raises(SolverError) as exc:
@@ -408,7 +408,7 @@ def test_failed_polish_raises_the_true_residual(monkeypatch):
     # singular pure-Neumann stiffness and a b with a constant component, as
     # in test_exhausted_solves_raise_scipy_residual: no x meets the contract
     mesh = build_rect_mesh(6, 6, 2.0, 2.0)
-    A = fem.forms(mesh).S.tocsr()
+    A = mesh.S.tocsr()
     b, _ = _rhs_and_start(A, False, seed=9)
     guess = np.linspace(0.0, 1.0, b.size)
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: _Factor(lambda rhs: guess.copy()))

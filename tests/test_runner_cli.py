@@ -204,24 +204,45 @@ def test_nonfinite_state_between_output_rows(monkeypatch):
     assert [r.step for r in result.records] == [0]
 
 
-def test_step0_failure_leaves_header_only_series(tmp_path, capsys):
-    # the step-0 energy overflows to inf
-    out = tmp_path / "huge"
-    args = ["--ic", "constant:1e250:1", "--steps", "2", "--nx", "3", "--ny", "3"]
+@pytest.mark.parametrize(
+    "keys,status",
+    [
+        # the step-0 energy overflows to inf
+        (dict(ic="constant:1e250:1"), "non-finite"),
+        # the H1 projection of the initial v fails its residual contract
+        (dict(lx=1e-6, ly=1e-6), "solver-failure"),
+    ],
+    ids=["non-finite", "solver-failure"],
+)
+def test_step0_failure_leaves_header_only_series(tmp_path, capsys, keys, status):
+    out = tmp_path / "failed"
+    args = ["--steps", "2", "--nx", "3", "--ny", "3"]
+    args += [a for key, val in keys.items() for a in (f"--{key}", str(val))]
     assert main(["run", *args, "--out", str(out)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert status in capsys.readouterr().err
     assert (out / "config.echo").exists()
     assert (out / "series.csv").read_text() == runner.SERIES_HEADER + "\n"
     failed = (out / "FAILED").read_text()
-    assert failed.startswith("non-finite")
+    assert failed.startswith(status)
     assert failed.endswith("last completed step: none\n")
     manifest = sweep(
-        RunConfig(ic="constant:1e250:1", steps=2, nx=3, ny=3), ["uv"], [1.5], [None],
-        str(tmp_path / "sw"),
+        RunConfig(steps=2, nx=3, ny=3, **keys), ["uv"], [1.5], [None], str(tmp_path / "sw")
     )
     with open(manifest) as fp:
         rows = list(csv.DictReader(fp))
-    assert [(r["status"], r["last_step"]) for r in rows] == [("non-finite", "none")]
+    assert [(r["status"], r["last_step"]) for r in rows] == [(status, "none")]
+
+
+@pytest.mark.parametrize("command,flag", [("run", "--out"), ("sweep", "--sweep-out")])
+def test_output_path_that_is_a_file_is_a_bad_config(tmp_path, capsys, command, flag):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    args = [command, "--steps", "1", "--nx", "3", "--ny", "3", flag, str(path)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output directory")
+    assert err.count("\n") == 1
+    assert path.read_text() == "kept\n"
 
 
 def test_eps_dropped_for_schemes_without_eps(tmp_path):
