@@ -41,14 +41,16 @@ def _add_config_args(sub):
     sub.add_argument("--out", dest="out_dir", help="output directory")
 
 
-def _resolve(args) -> runner.RunConfig:
-    file_values = runner.parse_config_file(args.config) if args.config else {}
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(runner.RunConfig)}
-    return runner.resolve_config(file_values, overrides)
+def _resolve(args) -> dict:
+    """The raw values given: the config file's keys, then the flags given."""
+    values = runner.parse_config_file(args.config) if args.config else {}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(runner.RunConfig)}
+    values.update({key: val for key, val in flags.items() if val is not None})
+    return values
 
 
 def _cmd_run(args) -> int:
-    rc = _resolve(args)
+    rc = runner.resolve_config(_resolve(args))
     result = runner.run(rc)
     print(f"run: {rc.scheme} p={rc.p} eps={rc.eps} -> {rc.out_dir}")
     if result.records:
@@ -66,13 +68,12 @@ def _axis(text, key, default) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    base = _resolve(args)
+    given = _resolve(args)
+    base = runner.resolve_config(given)
     schemes = _axis(args.schemes, "scheme", base.scheme)
     ps = _axis(args.ps, "p", base.p)
-    file_eps = runner.parse_config_file(args.config).get("eps") if args.config else None
     # the eps given, which base has dropped if its own scheme takes none
-    given_eps = runner._coerce("eps", args.eps if args.eps is not None else file_eps)
-    epss = _axis(args.epss, "eps", given_eps)
+    epss = _axis(args.epss, "eps", runner._coerce("eps", given.get("eps")))
     manifest = runner.sweep(base, schemes, ps, epss, args.sweep_out, jobs=args.jobs)
     print(f"sweep manifest: {manifest}")
     with open(manifest) as fp:
@@ -96,10 +97,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    no_steps = runner._coerce("steps", args.steps) == 0
-    if no_steps:
-        args.steps = 1  # satisfy run-config validation, then advance nothing
-    rc = _resolve(args)
+    given = _resolve(args)
+    # zero steps writes the initial state: resolve as one step, advance none
+    no_steps = runner._coerce("steps", given.get("steps")) == 0
+    rc = runner.resolve_config(given, {"steps": 1} if no_steps else None)
     known = ("u", "v", "sigma")
     which = tuple(args.fields.split(",")) if args.fields else known
     unknown = [name for name in which if name not in known]

@@ -65,45 +65,31 @@ def neg_part_l2(mesh, u) -> float:
     return fem.l2_norm(mesh, np.minimum(np.asarray(u, dtype=float), 0.0))
 
 
-def _grad_sq(mesh, v) -> float:
-    v = np.asarray(v, dtype=float)
-    return float(v @ (mesh.S @ v))
+def _power_term(mesh, p, u) -> float:
+    """1/(p-1) * integral of I((u_+)^p), by the vertex rule."""
+    up = np.maximum(np.asarray(u, dtype=float), 0.0)
+    return float(mesh.D @ np.power(up, p)) / (p - 1.0)
 
 
-def _sigma_sq(mesh, sigma) -> float:
-    sigma = np.asarray(sigma, dtype=float)
-    return float(fem.stack_vec(sigma) @ fem.vec_product(mesh.M, sigma))
-
-
-def _sigma_h1_sq(mesh, sigma) -> float:
-    """||sigma||_0^2 + ||rot sigma||_0^2 + ||div sigma||_0^2 (the equivalent
-    H1 norm on the zero-normal-trace space).
-
-    ``sigma`` must have a zero normal trace, with its clamped components
-    (:func:`fem.sigma_fixed_mask`) exact zeros, as every scheme state has.
-    Then the rot/div form's x-y coupling, a boundary term, drops out and the
-    norm is the H1 product ``A`` on each component."""
-    sigma = np.asarray(sigma, dtype=float)
-    return float(fem.stack_vec(sigma) @ fem.vec_product(mesh.A, sigma))
+def _quadratic(mesh, cfg: SchemeConfig, state: SchemeState):
+    """The field and operator of the energy's quadratic term: (sigma, M)
+    for the sigma schemes, (v, S) for uv/uveps."""
+    return (state.sigma, mesh.M) if cfg.uses_sigma else (state.v, mesh.S)
 
 
 def energy_modified(mesh, pot, cfg: SchemeConfig, state: SchemeState) -> float:
     """The scheme's dissipated energy; for 'uv' (which has none) the exact one."""
-    p = cfg.p
-    if cfg.scheme == "uveps":
-        return p * float(mesh.D @ pot.f_value(state.u)) + 0.5 * _grad_sq(mesh, state.v)
-    if cfg.scheme == "useps":
-        return p * float(mesh.D @ pot.f_value(state.u)) + 0.5 * _sigma_sq(mesh, state.sigma)
-    if cfg.scheme == "us0":
-        up = np.maximum(state.u, 0.0)
-        return float(mesh.D @ np.power(up, p)) / (p - 1.0) + 0.5 * _sigma_sq(mesh, state.sigma)
-    return energy_exact(mesh, cfg, state.u, state.v)
+    if cfg.needs_eps:
+        potential = cfg.p * float(mesh.D @ pot.f_value(state.u))
+    else:
+        potential = _power_term(mesh, cfg.p, state.u)
+    w, op = _quadratic(mesh, cfg, state)
+    return potential + 0.5 * fem.form(op, w)
 
 
 def energy_exact(mesh, cfg: SchemeConfig, u, v) -> float:
     """1/(p-1) * integral of I((u_+)^p) (vertex rule) + 0.5*||grad v||^2."""
-    up = np.maximum(np.asarray(u, dtype=float), 0.0)
-    return float(mesh.D @ np.power(up, cfg.p)) / (cfg.p - 1.0) + 0.5 * _grad_sq(mesh, v)
+    return _power_term(mesh, cfg.p, u) + 0.5 * fem.form(mesh.S, v)
 
 
 def discrete_laplacian_sq(mesh, v, variant: str = "lumped") -> float:
@@ -147,51 +133,43 @@ def residual_RE(
     root = np.power(np.maximum(np.asarray(u, dtype=float), 0.0), 0.5 * p)
     g = fem.grad_p1(mesh, root)
     grad_term = (4.0 / p) * float(mesh.areas @ np.einsum("ed,ed->e", g, g))
-    return d_e + grad_term + discrete_laplacian_sq(mesh, v) + _grad_sq(mesh, v)
+    return d_e + grad_term + discrete_laplacian_sq(mesh, v) + fem.form(mesh.S, v)
 
 
 def energy_law_lhs(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: SchemeState) -> float:
     """Full left-hand side of the scheme's discrete energy law for one step.
 
     Nonpositive (up to Picard/solver residuals) for uveps/useps/us0; not
-    defined for the plain scheme.
+    defined for the plain scheme.  The terms are added in a fixed order:
+    uveps d_e, du, dv, grad u, lap_h v, grad v; useps d_e, du, dsigma,
+    grad u, sigma_A; us0 d_e, dsigma, dissipation, sigma_A.
     """
+    if cfg.scheme == "uv":
+        raise ValueError(f"no discrete energy law for scheme {cfg.scheme!r}")
     p, k = cfg.p, cfg.dt
-    d_e = (energy_modified(mesh, pot, cfg, curr) - energy_modified(mesh, pot, cfg, prev)) / k
-    if cfg.scheme == "uveps":
+    lhs = (energy_modified(mesh, pot, cfg, curr) - energy_modified(mesh, pot, cfg, prev)) / k
+    if cfg.needs_eps:
         eps_pow = pot.eps ** (2.0 - p)
-        du = (curr.u - prev.u) / k
-        dv = (curr.v - prev.v) / k
-        return (
-            d_e
-            + 0.5 * k * eps_pow * p * float(du @ (mesh.M @ du))
-            + 0.5 * k * _grad_sq(mesh, dv)
-            + p * eps_pow * _grad_sq(mesh, curr.u)
-            + discrete_laplacian_sq(mesh, curr.v, "consistent")
-            + _grad_sq(mesh, curr.v)
-        )
-    if cfg.scheme == "useps":
-        eps_pow = pot.eps ** (2.0 - p)
-        du = (curr.u - prev.u) / k
-        ds = (curr.sigma - prev.sigma) / k
-        return (
-            d_e
-            + 0.5 * k * eps_pow * p * float(du @ (mesh.M @ du))
-            + 0.5 * k * _sigma_sq(mesh, ds)
-            + p * eps_pow * _grad_sq(mesh, curr.u)
-            + _sigma_h1_sq(mesh, curr.sigma)
-        )
-    if cfg.scheme == "us0":
-        ds = (curr.sigma - prev.sigma) / k
+        lhs += 0.5 * k * eps_pow * p * fem.form(mesh.M, (curr.u - prev.u) / k)
+    w, op = _quadratic(mesh, cfg, curr)
+    w_prev, _ = _quadratic(mesh, cfg, prev)
+    lhs += 0.5 * k * fem.form(op, (w - w_prev) / k)
+    if cfg.needs_eps:
+        lhs += p * eps_pow * fem.form(mesh.S, curr.u)
+    else:
         c, g = us0_diffusion_terms(mesh, curr.u, p)
-        dissip = float((mesh.areas * c) @ np.einsum("ed,ed->e", g, g))
-        return (
-            d_e
-            + 0.5 * k * _sigma_sq(mesh, ds)
-            + (p / (p - 1.0) ** 2) * dissip
-            + _sigma_h1_sq(mesh, curr.sigma)
-        )
-    raise ValueError(f"no discrete energy law for scheme {cfg.scheme!r}")
+        lhs += (p / (p - 1.0) ** 2) * float((mesh.areas * c) @ np.einsum("ed,ed->e", g, g))
+    if cfg.uses_sigma:
+        # ||sigma||_0^2 + ||rot sigma||_0^2 + ||div sigma||_0^2, the H1 norm
+        # on the zero-normal-trace space: with the clamped components
+        # (fem.sigma_fixed_mask) exact zeros, as in every scheme state, the
+        # rot/div form's x-y coupling, a boundary term, drops out and the
+        # norm is the H1 product A on each component
+        lhs += fem.form(mesh.A, curr.sigma)
+    else:
+        lhs += discrete_laplacian_sq(mesh, curr.v, "consistent")
+        lhs += fem.form(mesh.S, curr.v)
+    return lhs
 
 
 def mean_v_balance(mesh, pot, cfg: SchemeConfig, prev: SchemeState, curr: SchemeState) -> float:

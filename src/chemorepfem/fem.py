@@ -21,8 +21,8 @@ from .mesh import _MASS_BASE, CORNER, EDGE_X, EDGE_Y
 
 __all__ = [
     "sigma_fixed_mask",
+    "form",
     "l2_norm",
-    "l2_norm_vec",
     "convection_u",
     "interp",
     "project_Qh",
@@ -88,16 +88,18 @@ def vec_product(op, w: np.ndarray) -> np.ndarray:
     return np.concatenate([op @ w[:, 0], op @ w[:, 1]])
 
 
+def form(op, x) -> float:
+    """Quadratic form ``x . (op x)`` of a scalar operator, on a (N,) field
+    or summed over the components of a (N,2) field."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return float(stack_vec(x) @ vec_product(op, x))
+    return float(x @ (op @ x))
+
+
 def l2_norm(mesh, u) -> float:
-    """Consistent L2 norm of a nodal scalar field."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(max(u @ (mesh.M @ u), 0.0)))
-
-
-def l2_norm_vec(mesh, w) -> float:
-    """Consistent L2 norm of a (N,2) vector field."""
-    w = np.asarray(w, dtype=float)
-    return float(np.sqrt(max(stack_vec(w) @ vec_product(mesh.M, w), 0.0)))
+    """Consistent L2 norm of a (N,) scalar or (N,2) vector field."""
+    return float(np.sqrt(max(form(mesh.M, u), 0.0)))
 
 
 def convection_u(mesh, w, kind: str) -> sp.csr_matrix:

@@ -244,14 +244,9 @@ class Workspace:
 
     # -- norms and changes ----------------------------------------------------
 
-    def _change(self, new, old, vec: bool) -> float:
-        if vec:
-            num = fem.l2_norm_vec(self.mesh, new - old)
-            den = fem.l2_norm_vec(self.mesh, old)
-        else:
-            num = fem.l2_norm(self.mesh, new - old)
-            den = fem.l2_norm(self.mesh, old)
-        return num / max(den, _CHANGE_FLOOR)
+    def _change(self, new, old) -> float:
+        num = fem.l2_norm(self.mesh, new - old)
+        return num / max(fem.l2_norm(self.mesh, old), _CHANGE_FLOOR)
 
     # -- the three solves of a Picard iterate ----------------------------------
 
@@ -372,7 +367,7 @@ class Workspace:
             u_prev, f_prev = ul, f
             w1, it_w = solve_w(w_load, u1, wl)
             max_solver = max(max_solver, it_u, it_w)
-            change = max(self._change(u1, ul, False), self._change(w1, wl, vec))
+            change = max(self._change(u1, ul), self._change(w1, wl))
             ul, wl = u1, w1
             if change <= cfg.picard_tol:
                 break
@@ -403,7 +398,9 @@ class Workspace:
 
 def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0=None) -> SchemeState:
     """Project initial data: lumped L2 for u, H1 for v, and for the sigma
-    schemes the constrained L2 projection of grad(v_h).
+    schemes grad(v_h) projected in L2 on the whole P1 space one component
+    at a time, with the components clamped by the zero normal trace then
+    set to zero (:func:`fem.project_Qh_vec`).
 
     Rejects initial data that is negative at any node.
     """

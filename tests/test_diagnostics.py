@@ -9,6 +9,7 @@ from chemorepfem import (
     Workspace,
     build_rect_mesh,
     energy_exact,
+    energy_law_lhs,
     energy_modified,
     fem,
     get_preset,
@@ -19,7 +20,7 @@ from chemorepfem import (
     residual_RE,
 )
 from chemorepfem._oracle import DenseOracle
-from chemorepfem.diagnostics import _sigma_h1_sq, discrete_laplacian_sq
+from chemorepfem.diagnostics import discrete_laplacian_sq
 from chemorepfem.schemes import SchemeState
 
 
@@ -97,7 +98,57 @@ def test_sigma_h1_sq_is_the_rot_div_form_on_a_scheme_state(mesh):
     *_, (_, st, _) = Workspace(mesh, cfg).march(st, 3)
     x = fem.stack_vec(st.sigma)
     ref = float(x @ (DenseOracle(mesh, cfg).B @ x))
-    assert _sigma_h1_sq(mesh, st.sigma) == pytest.approx(ref, rel=1e-13)
+    assert fem.form(mesh.A, st.sigma) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("scheme", ["uveps", "useps", "us0"])
+def test_energy_law_lhs_sums_each_term_of_the_law(mesh, scheme):
+    p, k, eps = 1.5, 1e-2, 1e-2
+    cfg = SchemeConfig(scheme, p=p, dt=k, eps=eps if scheme != "us0" else None)
+    pot = RegularizedPotential(p, eps) if scheme != "us0" else None
+    rng = np.random.default_rng(11)
+    clamped = fem.unstack_vec(fem.sigma_fixed_mask(mesh))
+    states = []
+    for _ in range(2):
+        sig = rng.normal(size=(mesh.n_nodes, 2))
+        sig[clamped] = 0.0
+        u, v = rng.uniform(0.5, 2.0, mesh.n_nodes), rng.normal(size=mesh.n_nodes)
+        states.append(state(mesh, u, v, sig if cfg.uses_sigma else None))
+    prev, curr = states
+
+    def sq(op, x):
+        return float(x @ (op @ x))
+
+    def vec_sq(op, w):
+        return sq(op, w[:, 0]) + sq(op, w[:, 1])
+
+    def energy(st):
+        if scheme == "us0":
+            potential = float(mesh.D @ st.u**p) / (p - 1.0)
+        else:
+            potential = p * float(mesh.D @ pot.f_value(st.u))
+        return potential + 0.5 * (vec_sq(mesh.M, st.sigma) if cfg.uses_sigma else sq(mesh.S, st.v))
+
+    terms = [(energy(curr) - energy(prev)) / k]
+    if scheme != "us0":
+        eps_pow = eps ** (2.0 - p)
+        terms += [0.5 * k * eps_pow * p * sq(mesh.M, (curr.u - prev.u) / k)]
+        terms += [p * eps_pow * sq(mesh.S, curr.u)]
+    if scheme == "uveps":
+        terms += [0.5 * k * sq(mesh.S, (curr.v - prev.v) / k)]
+        terms += [discrete_laplacian_sq(mesh, curr.v, "consistent"), sq(mesh.S, curr.v)]
+    else:
+        terms += [0.5 * k * vec_sq(mesh.M, (curr.sigma - prev.sigma) / k)]
+        terms += [vec_sq(mesh.A, curr.sigma)]
+    if scheme == "us0":
+        # integral of (u_+)^(2-p), vertex-averaged, times |grad I((u_+)^(p-1))|^2
+        c = (curr.u ** (2.0 - p))[mesh.elements].mean(axis=1)
+        g = fem.grad_p1(mesh, curr.u ** (p - 1.0))
+        terms += [p / (p - 1.0) ** 2 * float(np.sum(mesh.areas * c * (g**2).sum(axis=1)))]
+    assert energy_law_lhs(mesh, pot, cfg, prev, curr) == pytest.approx(sum(terms), rel=1e-12)
+
+    with pytest.raises(ValueError, match="no discrete energy law"):
+        energy_law_lhs(mesh, None, SchemeConfig("uv", p=p, dt=k), prev, curr)
 
 
 def test_energy_exact_values(mesh):

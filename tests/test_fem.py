@@ -546,9 +546,13 @@ def test_op_Bh_spd_on_constrained_space(small_mesh):
 def test_vec_product_is_the_block_diagonal_product():
     m = build_rect_mesh(7, 5, 2.0, 3.0)
     w = np.random.default_rng(53).normal(size=(m.n_nodes, 2))
+    x = fem.stack_vec(w)
     for op in (m.M, m.A):
-        ref = sp.block_diag([op, op], format="csr") @ fem.stack_vec(w)
+        ref = sp.block_diag([op, op], format="csr") @ x
         assert np.array_equal(fem.vec_product(op, w), ref)
+        # the quadratic form of a (N,2) field is the block-diagonal one
+        assert fem.form(op, w) == x @ ref
+    assert fem.l2_norm(m, w) == np.sqrt(x @ (sp.block_diag([m.M, m.M], format="csr") @ x))
 
 
 @settings(max_examples=40, deadline=None)

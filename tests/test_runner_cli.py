@@ -527,11 +527,17 @@ def test_cli_dump_and_sweep(tmp_path, capsys):
     text = vtk.read_text()
     assert "SCALARS u double 1" in text and "VECTORS" not in text
 
-    vtk0 = tmp_path / "f0.vtk"
-    capsys.readouterr()
-    code = main(["dump", "--steps", "0", "--nx", "4", "--ny", "4", "--vtk-out", str(vtk0)])
-    assert code == 0 and vtk0.exists()
-    assert capsys.readouterr().out.strip().endswith("at step 0")
+    # steps = 0 writes the initial state, from a flag or from a config file,
+    # and a flag overrides the file
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("steps = 0\n")
+    given = (["--steps", "0"], ["--config", str(zero)], ["--config", str(zero), "--steps", "1"])
+    for i, (args, step) in enumerate(zip(given, (0, 0, 1))):
+        vtk0 = tmp_path / f"f0_{i}.vtk"
+        capsys.readouterr()
+        code = main(["dump", *args, "--nx", "4", "--ny", "4", "--vtk-out", str(vtk0)])
+        assert code == 0 and vtk0.exists()
+        assert capsys.readouterr().out.strip().endswith(f"at step {step}")
 
     # a Picard failure in dump exits 2 and writes no file
     vtk_fail = tmp_path / "fail.vtk"
