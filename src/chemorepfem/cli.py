@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import fields
 
@@ -55,7 +56,7 @@ def _cmd_run(args) -> int:
     print(f"run: {rc.scheme} p={rc.p} eps={rc.eps} -> {rc.out_dir}")
     if result.records:
         last = result.records[-1]
-        print(f"  steps completed: {last.step}/{rc.steps}  mass: {last.mass!r}")
+        print(f"  steps completed: {result.last_step}/{rc.steps}  mass: {last.mass!r}")
     if not result.ok:
         print(f"  FAILED ({result.status}): {result.detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -106,6 +107,10 @@ def _cmd_dump(args) -> int:
     unknown = [name for name in which if name not in known]
     if unknown:
         raise runner.ConfigError(f"unknown field(s) {unknown}; choose among u, v, sigma")
+    # a path that cannot take the file is found before any step
+    runner._make_dir(os.path.dirname(os.path.abspath(args.vtk_out)))
+    if os.path.isdir(args.vtk_out):
+        raise runner.ConfigError(f"cannot write {args.vtk_out!r}: it is a directory")
     ops, state = runner.start(rc)
     for _, state, _ in ops.march(state, 0 if no_steps else rc.steps):
         pass

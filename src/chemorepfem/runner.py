@@ -171,15 +171,13 @@ class RunResult:
     state: Optional[SchemeState]  # None if the set-up failed
     status: str  # ok | picard-failure | solver-failure | non-finite
     detail: str = ""
+    # the last step that passed its checks, recorded or not; None if not
+    # even step 0 did
+    last_step: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    @property
-    def last_step(self) -> Optional[int]:
-        """Step of the last row, None if not even step 0 was recorded."""
-        return self.records[-1].step if self.records else None
 
 
 def _record(ops, state, prev=None, report=None):
@@ -217,11 +215,12 @@ def start(rc: RunConfig):
 def execute_run(rc: RunConfig) -> RunResult:
     """Run the time loop and collect records; no filesystem side effects.
     Output steps are checked for non-finite diagnostics, others for fields."""
-    records, state = [], None
+    records, state, last_step = [], None, None
     status, detail = "ok", ""
     try:
         ops, state = start(rc)
         records.append(_record(ops, state))
+        last_step = 0
         for prev, state, report in ops.march(state, rc.steps):
             if state.step % rc.output_every == 0 or state.step == rc.steps:
                 records.append(_record(ops, state, prev, report))
@@ -229,13 +228,14 @@ def execute_run(rc: RunConfig) -> RunResult:
                 np.isfinite(f).all() for f in (state.u, state.v, state.sigma) if f is not None
             ):
                 raise NonFiniteError(f"non-finite field at step {state.step}")
+            last_step = state.step
     except PicardError as exc:
         status, detail = "picard-failure", str(exc)
     except SolverError as exc:
         status, detail = "solver-failure", str(exc)
     except NonFiniteError as exc:
         status, detail = "non-finite", str(exc)
-    return RunResult(records, state, status, detail)
+    return RunResult(records, state, status, detail, last_step)
 
 
 def _make_dir(path):

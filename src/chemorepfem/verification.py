@@ -1,10 +1,10 @@
 """Verification suite: module invariants and the acceptance criteria.
 
-``run_verification("fast")`` exercises the structural identities on small
-meshes; ``run_verification("full")`` runs the complete acceptance list,
-including the long conservation/energy-law/positivity simulations.  Each
-criterion yields one CheckResult; the CLI turns them into pass/fail lines
-and an exit status.
+``run_verification("full")`` runs the complete acceptance list, and
+``run_verification("fast")`` criteria 1-5, 9 and 10 with fewer random
+fields and 8 x 8 legs.  Each distinct leg is stepped once: criteria 4
+and 5 read one set of gauss traces, 6 and 7 one set of cosine traces.
+Each criterion yields one CheckResult, which the CLI prints as a line.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 from . import diagnostics, fem, lambda_ops
 from ._oracle import DenseOracle
+from .linsolve import SolverError
 from .mesh import build_rect_mesh
 from .regularization import RegularizedPotential
 from .runner import RunConfig, start
@@ -170,53 +171,43 @@ _BASE = RunConfig(p=1.5, dt=1e-4, steps=200, ic="gauss", picard_tol=1e-10, picar
 
 
 def _leg(rc, quantity):
-    """Step the run ``rc`` as ``run`` does and evaluate ``quantity(ops,
-    prev, state)`` after every step.  Returns the workspace, the initial
-    state, the values of the completed steps and a PicardError's text ('' if none)."""
+    """Step the run ``rc`` as ``run`` does and evaluate ``quantity(ops, prev,
+    state)`` after every step.  Returns the workspace, the initial state, the
+    values of the completed steps and a Picard or solver failure's text ('' if none)."""
     ops, state0 = start(rc)
     values, failure = [], ""
     try:
         for prev, state, _ in ops.march(state0, rc.steps):
             values.append(quantity(ops, prev, state))
-    except PicardError as exc:
+    except (PicardError, SolverError) as exc:
         failure = str(exc)
     return ops, state0, values, failure
 
 
-def _mass(ops, prev, state):
-    return diagnostics.mass(ops.mesh, state.u)
-
-
-def _law_rel(ops, prev, state):
-    """Energy-law left-hand side of a step relative to |E_h(prev)|."""
+def _mass_and_law(ops, prev, state):
+    """Mass after a step and, but for uv, its energy-law LHS relative to |E_h(prev)|."""
+    if ops.cfg.scheme == "uv":
+        return diagnostics.mass(ops.mesh, state.u), None
     lhs = diagnostics.energy_law_lhs(ops.mesh, ops.pot, ops.cfg, prev, state)
     e_prev = abs(diagnostics.energy_modified(ops.mesh, ops.pot, ops.cfg, prev))
-    return lhs / max(e_prev, 1e-300)
+    return diagnostics.mass(ops.mesh, state.u), lhs / max(e_prev, 1e-300)
+
+
+def _shared(make, *checks) -> List[CheckResult]:
+    """Run checks that read one set of traces, each charged an equal share
+    of the time to make them."""
+    t0 = time.perf_counter()
+    traces = make()
+    share = (time.perf_counter() - t0) / len(checks)
+    return [replace(r, seconds=r.seconds + share) for r in (check(traces) for check in checks)]
 
 
 # -- criteria 4 & 5: conservation and energy laws ----------------------------
 
 _GAUSS_RUNS = [("uv", None), ("uveps", 1e-3), ("useps", 1e-3), ("us0", None)]
 
-
-def check_mass_conservation() -> CheckResult:
-    def body():
-        details = []
-        ok = True
-        for scheme, eps in _GAUSS_RUNS:
-            rc = replace(_BASE, scheme=scheme, eps=eps)
-            ops, state0, masses, failure = _leg(rc, _mass)
-            if failure:
-                ok = False
-                details.append(f"{scheme}: {failure}")
-                continue
-            mass0 = diagnostics.mass(ops.mesh, state0.u)
-            rel = max(abs(m - mass0) for m in masses) / abs(mass0)
-            ok = ok and rel <= 1e-10
-            details.append(f"{scheme}: max rel drift {rel:.2e}")
-        return ok, "; ".join(details) + " (tol 1e-10)"
-
-    return _result("4 mass conservation", body)
+# the fast level's legs: the same runs on an 8 x 8 mesh over 50 steps
+_SMALL = replace(_BASE, steps=50, nx=8, ny=8)
 
 
 def energy_law_legs():
@@ -225,22 +216,53 @@ def energy_law_legs():
     return [(s, eps, dt) for s, eps in _GAUSS_RUNS if s != "uv" for dt in (1e-4, 1e-2)]
 
 
-def energy_law_leg_result(scheme, eps, dt):
-    """One leg: returns (passed, detail). Nonpositive LHS up to 1e-8 rel."""
-    rc = replace(_BASE, scheme=scheme, eps=eps, dt=dt)
-    _, _, laws, failure = _leg(rc, _law_rel)
+def gauss_traces(base=_BASE):
+    """Step each distinct (scheme, eps, dt) leg of criteria 4 and 5 once on the mesh
+    and horizon of ``base``: its initial mass, (mass, law) per step and failure text."""
+    legs = dict.fromkeys([(s, eps, _BASE.dt) for s, eps in _GAUSS_RUNS] + energy_law_legs())
+    traces = {}
+    for scheme, eps, dt in legs:
+        rc = replace(base, scheme=scheme, eps=eps, dt=dt)
+        ops, state0, values, failure = _leg(rc, _mass_and_law)
+        traces[scheme, eps, dt] = diagnostics.mass(ops.mesh, state0.u), values, failure
+    return traces
+
+
+def check_mass_conservation(traces=None) -> CheckResult:
+    def body():
+        trs = traces if traces is not None else gauss_traces()
+        details = []
+        ok = True
+        for scheme, eps in _GAUSS_RUNS:
+            mass0, values, failure = trs[scheme, eps, _BASE.dt]
+            if failure:
+                ok = False
+                details.append(f"{scheme}: {failure}")
+                continue
+            rel = max(abs(m - mass0) for m, _ in values) / abs(mass0)
+            ok = ok and rel <= 1e-10
+            details.append(f"{scheme}: max rel drift {rel:.2e}")
+        return ok, "; ".join(details) + " (tol 1e-10)"
+
+    return _result("4 mass conservation", body)
+
+
+def energy_law_leg_result(traces, scheme, eps, dt):
+    """One leg read from traces: (passed, detail). Nonpositive LHS up to 1e-8 rel."""
+    _, values, failure = traces[scheme, eps, dt]
     if failure:
         return False, f"{scheme} dt={dt:g}: {failure}"
-    worst = max(laws)
+    worst = max(law for _, law in values)
     return worst <= 1e-8, f"{scheme} dt={dt:g}: worst rel LHS {worst:+.2e} (tol 1e-8)"
 
 
-def check_energy_laws() -> CheckResult:
+def check_energy_laws(traces=None) -> CheckResult:
     def body():
+        trs = traces if traces is not None else gauss_traces()
         ok = True
         details = []
         for scheme, eps, dt in energy_law_legs():
-            leg_ok, detail = energy_law_leg_result(scheme, eps, dt)
+            leg_ok, detail = energy_law_leg_result(trs, scheme, eps, dt)
             ok = ok and leg_ok
             details.append(("PASS " if leg_ok else "FAIL ") + detail)
         return ok, "; ".join(details)
@@ -449,41 +471,19 @@ def run_verification(level: str = "fast") -> List[CheckResult]:
             check_element_identities(n_fields=60),
             check_spectral_and_lipschitz_bounds(n_fields=60),
             check_potential_suite(),
+            *_shared(lambda: gauss_traces(_SMALL), check_mass_conservation, check_energy_laws),
             check_constant_state(),
             check_dense_oracle(),
-            _result("fast conservation/energy smoke", _fast_smoke),
         ]
     if level == "full":
-        results = [
+        return [
             check_element_identities(),
             check_spectral_and_lipschitz_bounds(),
             check_potential_suite(),
-            check_mass_conservation(),
-            check_energy_laws(),
+            *_shared(gauss_traces, check_mass_conservation, check_energy_laws),
+            *_shared(cosine_traces, check_exact_energy_monotone, check_residual_signs),
+            check_positivity_trend(),
+            check_constant_state(),
+            check_dense_oracle(),
         ]
-        t0 = time.perf_counter()
-        traces = cosine_traces()
-        shared = time.perf_counter() - t0
-        r6 = check_exact_energy_monotone(traces)
-        r7 = check_residual_signs(traces)
-        r6.seconds += shared / 2
-        r7.seconds += shared / 2
-        results += [r6, r7, check_positivity_trend(), check_constant_state(), check_dense_oracle()]
-        return results
     raise ValueError(f"unknown verification level {level!r}; choose 'fast' or 'full'")
-
-
-def _fast_smoke():
-    ok = True
-    details = []
-    for scheme, eps in (("uveps", 1e-3), ("us0", None)):
-        rc = replace(_BASE, scheme=scheme, eps=eps, steps=50, nx=8, ny=8)
-        ops, state0, values, failure = _leg(rc, lambda *a: (_mass(*a), _law_rel(*a)))
-        if failure:
-            return False, failure
-        mass0 = diagnostics.mass(ops.mesh, state0.u)
-        rel = max(abs(m - mass0) for m, _ in values) / abs(mass0)
-        law = max(law for _, law in values)
-        ok = ok and rel <= 1e-10 and law <= 1e-8
-        details.append(f"{scheme}: mass {rel:.1e}, law {law:+.1e}")
-    return ok, "; ".join(details)

@@ -202,6 +202,34 @@ def test_nonfinite_state_between_output_rows(monkeypatch):
     assert result.status == "non-finite"
     assert "at step 2" in result.detail
     assert [r.step for r in result.records] == [0]
+    assert result.last_step == 1  # step 1 completed without writing a row
+
+
+def test_failure_names_the_last_completed_step_between_rows(tmp_path, capsys, monkeypatch):
+    # rows at steps 0 and 2 only: a Picard failure in step 4 follows three
+    # completed steps, and FAILED, the run summary and the manifest say so
+    from chemorepfem.schemes import PicardError, Workspace
+
+    step = Workspace.step
+
+    def failing(self, state):
+        new, report = step(self, state)
+        if new.step == 4:
+            raise PicardError(self.cfg.scheme, new.step, report, new)
+        return new, report
+
+    monkeypatch.setattr(Workspace, "step", failing)
+    out = tmp_path / "run"
+    args = ["--scheme", "uv", "--nx", "4", "--ny", "4", "--dt", "1e-3", "--steps", "6"]
+    assert main(["run", *args, "--output-every", "2", "--out", str(out)]) == 2
+    assert "steps completed: 3/6" in capsys.readouterr().out
+    assert (out / "FAILED").read_text().endswith("last completed step: 3\n")
+    base = RunConfig(dt=1e-3, steps=6, nx=4, ny=4, output_every=2)
+    manifest = sweep(base, ["uv"], [1.5], [None], str(tmp_path / "sw"))
+    with open(manifest) as fp:
+        assert [(r["status"], r["last_step"]) for r in csv.DictReader(fp)] == [
+            ("picard-failure", "3")
+        ]
 
 
 @pytest.mark.parametrize(
@@ -233,16 +261,35 @@ def test_step0_failure_leaves_header_only_series(tmp_path, capsys, keys, status)
     assert [(r["status"], r["last_step"]) for r in rows] == [(status, "none")]
 
 
-@pytest.mark.parametrize("command,flag", [("run", "--out"), ("sweep", "--sweep-out")])
-def test_output_path_that_is_a_file_is_a_bad_config(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize(
+    "command,flag,target,message",
+    [
+        ("run", "--out", "taken", "cannot create output directory"),
+        ("sweep", "--sweep-out", "taken", "cannot create output directory"),
+        ("dump", "--vtk-out", "taken/f.vtk", "cannot create output directory"),
+        ("dump", "--vtk-out", "adir", "cannot write"),
+    ],
+    ids=["run---out", "sweep---sweep-out", "dump-under-a-file", "dump-a-directory"],
+)
+def test_output_path_that_is_a_file_is_a_bad_config(
+    tmp_path, capsys, monkeypatch, command, flag, target, message
+):
+    # an output path that is, or lies under, a regular file, or a VTK file
+    # path that is a directory, exits 3 before any step
+    def no_work(rc):
+        raise AssertionError(f"{command} started a run before checking its output path")
+
+    monkeypatch.setattr(runner, "start", no_work)
     path = tmp_path / "taken"
     path.write_text("kept\n")
-    args = [command, "--steps", "1", "--nx", "3", "--ny", "3", flag, str(path)]
+    (tmp_path / "adir").mkdir()
+    args = [command, "--steps", "1", "--nx", "3", "--ny", "3", flag, str(tmp_path / target)]
     assert main(args) == 3
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: cannot create output directory")
+    assert err.startswith(f"configuration error: {message}")
     assert err.count("\n") == 1
     assert path.read_text() == "kept\n"
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_eps_dropped_for_schemes_without_eps(tmp_path):
@@ -269,30 +316,38 @@ def test_run_records_match_verification_legs(scheme, eps):
         picard_tol=1e-5,
     )
     records = execute_run(rc).records
-    _, _, masses, failure = verification._leg(rc, verification._mass)
+    _, _, values, failure = verification._leg(rc, verification._mass_and_law)
     ee, re, failure_c = verification._cosine_leg(rc)
     assert failure == failure_c == ""
-    assert [r.mass for r in records[1:]] == masses
+    assert [r.mass for r in records[1:]] == [mass for mass, _ in values]
     assert [r.energy_exact for r in records] == ee
     assert [r.residual_RE for r in records[1:]] == re
 
 
 def test_leg_keeps_the_values_of_steps_before_a_picard_failure(monkeypatch):
+    # a linear-solver failure ends a leg the same way
     from chemorepfem import verification
+    from chemorepfem.linsolve import SolverError
     from chemorepfem.schemes import PicardError, Workspace
 
     step = Workspace.step
+    errors = [
+        (lambda self, new, report: PicardError(self.cfg.scheme, new.step, report, new),
+         "did not converge at step 3"),
+        (lambda *_: SolverError("CG did not converge", 1.0, 5), "after 5 iterations"),
+    ]
+    for error, text in errors:
 
-    def failing(self, state):
-        new, report = step(self, state)
-        if new.step == 3:
-            raise PicardError(self.cfg.scheme, new.step, report, new)
-        return new, report
+        def failing(self, state):
+            new, report = step(self, state)
+            if new.step == 3:
+                raise error(self, new, report)
+            return new, report
 
-    monkeypatch.setattr(Workspace, "step", failing)
-    rc = RunConfig(scheme="uv", ic="gauss", **{**FAST, "steps": 5})
-    _, _, masses, failure = verification._leg(rc, verification._mass)
-    assert len(masses) == 2 and "did not converge at step 3" in failure
+        monkeypatch.setattr(Workspace, "step", failing)
+        rc = RunConfig(scheme="uv", ic="gauss", **{**FAST, "steps": 5})
+        _, _, values, failure = verification._leg(rc, verification._mass_and_law)
+        assert len(values) == 2 and text in failure
 
 
 def test_dense_oracle_reports_a_picard_failure(monkeypatch):
@@ -304,6 +359,49 @@ def test_dense_oracle_reports_a_picard_failure(monkeypatch):
     monkeypatch.setattr(verification, "_BASE", replace(verification._BASE, picard_max=1))
     result = verification.check_dense_oracle()
     assert not result.passed and result.detail.startswith("Picard iteration")
+
+
+def test_gauss_traces_step_each_leg_once(monkeypatch):
+    # criteria 4 and 5 read 7 legs stepped once each, and read from them
+    # what separate mass and energy-law legs give
+    from dataclasses import replace
+
+    from chemorepfem import diagnostics, verification
+
+    stepped = []
+    leg = verification._leg
+
+    def spy(rc, quantity):
+        stepped.append(rc)
+        return leg(rc, quantity)
+
+    monkeypatch.setattr(verification, "_leg", spy)
+    base = replace(verification._SMALL, steps=5)
+    traces = verification.gauss_traces(base)
+    assert len(stepped) == len(set(stepped)) == len(traces) == 7
+    assert {rc.nx for rc in stepped} == {8}
+
+    def mass(ops, prev, state):
+        return diagnostics.mass(ops.mesh, state.u)
+
+    def law(ops, prev, state):
+        lhs = diagnostics.energy_law_lhs(ops.mesh, ops.pot, ops.cfg, prev, state)
+        return lhs / abs(diagnostics.energy_modified(ops.mesh, ops.pot, ops.cfg, prev))
+
+    details = []
+    for scheme, eps in verification._GAUSS_RUNS:
+        ops, state0, masses, _ = leg(replace(base, scheme=scheme, eps=eps), mass)
+        mass0 = diagnostics.mass(ops.mesh, state0.u)
+        rel = max(abs(m - mass0) for m in masses) / abs(mass0)
+        assert rel <= 1e-10
+        details.append(f"{scheme}: max rel drift {rel:.2e}")
+    res = verification.check_mass_conservation(traces)
+    assert (res.passed, res.detail) == (True, "; ".join(details) + " (tol 1e-10)")
+    for scheme, eps, dt in verification.energy_law_legs():
+        _, _, laws, _ = leg(replace(base, scheme=scheme, eps=eps, dt=dt), law)
+        worst = max(laws)
+        detail = f"{scheme} dt={dt:g}: worst rel LHS {worst:+.2e} (tol 1e-8)"
+        assert verification.energy_law_leg_result(traces, scheme, eps, dt) == (True, detail)
 
 
 def test_picard_failure_recorded(tmp_path):
