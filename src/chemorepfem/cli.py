@@ -56,7 +56,10 @@ def _cmd_run(args) -> int:
     print(f"run: {rc.scheme} p={rc.p} eps={rc.eps} -> {rc.out_dir}")
     if result.records:
         last = result.records[-1]
-        print(f"  steps completed: {result.last_step}/{rc.steps}  mass: {last.mass!r}")
+        print(
+            f"  steps completed: {result.last_step}/{rc.steps}"
+            f"  mass at step {last.step}: {last.mass!r}"
+        )
     if not result.ok:
         print(f"  FAILED ({result.status}): {result.detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -110,23 +110,37 @@ def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
     "nodal" for a nodal P1 vector field (shape (n_nodes, 2)).  Integration
     is exact in both cases.  Column sums vanish, which is what conserves
     mass under testing by 1.
+
+    The local blocks are linear in the element's values of ``w`` with
+    coefficients that depend on its shape alone, so each kind is one small
+    matrix per shape (``mesh.shape_grads``): (2 x 3) for "element", row i
+    of a block being |K|/3 w . grad phi_i in every column, and (6 x 9) for
+    "nodal", entry (i, j) taking |K| (grad phi_i)_d (1 + delta_jb)/12 of
+    w_d at vertex b.  Each is applied as one matrix product over the
+    elements of its shape.
     """
     w = np.asarray(w, dtype=float)
+    areas, grads = mesh.shape_areas, mesh.shape_grads
     if kind == "element":
         if w.shape != (mesh.n_elements, 2):
             raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")
-        wg = (mesh.grads @ w[:, :, None])[:, :, 0]  # w . grad phi_i, per element
-        rows = (mesh.areas / 3.0)[:, None] * wg
-        local = np.broadcast_to(rows[:, :, None], (mesh.n_elements, 3, 3))
+        rows = (areas / 3.0)[:, None, None] * grads.transpose(0, 2, 1)  # (shape, d, i)
+        kernels = np.repeat(rows, 3, axis=2)
+        values = w
     elif kind == "nodal":
         if w.shape != (mesh.n_nodes, 2):
             raise ValueError(f"expected shape {(mesh.n_nodes, 2)}, got {w.shape}")
-        wloc = w[mesh.elements]  # (E,3,2)
-        mw = mesh.areas[:, None, None] * (_MASS_BASE @ wloc)
-        local = mesh.grads @ mw.transpose(0, 2, 1)
+        kernels = areas[:, None, None, None, None] * np.einsum("jb,sid->sbdij", _MASS_BASE, grads)
+        values = w[mesh.elements]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return mesh.assemble(local)
+    half = mesh.n_elements // 2
+    # elements alternate lower/upper, so [:, s] holds the elements of shape s
+    values = values.reshape(half, 2, -1)
+    local = np.empty((half, 2, 9))
+    for s in range(2):
+        np.matmul(values[:, s], kernels[s].reshape(-1, 9), out=local[:, s])
+    return mesh.assemble(local.reshape(-1, 3, 3))
 
 
 def interp(mesh, g) -> np.ndarray:

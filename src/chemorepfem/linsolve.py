@@ -57,9 +57,25 @@ Factoring ``A_sig_red`` at nx = 40 as well cost 12% of the ``useps``/
 The nonsymmetric u-equation with its convection matrix goes to BiCGStab
 preconditioned by an incomplete LU (drop tolerance 1e-6, fill factor 20)
 whose columns are ordered by minimum degree on A^T + A; that factor is
-nearly exact, so BiCGStab converges in about one iteration.  If SuperLU
-cannot factor the matrix, BiCGStab runs with the Jacobi preconditioner
-instead.
+nearly exact, so BiCGStab converges in about one iteration.  The order
+reads the sparsity pattern alone (George & Liu, SIAM Rev. 31(1), 1989),
+and SuperLU's ILU takes any column order (Li & Shao, ACM TOMS 37(4),
+2011).  So for the u-matrices of a ``Workspace``, which all have the
+mesh's P1 pattern, a ``FillOrder`` takes the order once, at set-up, and
+each ``OrderedMatrix`` is gathered straight into it and factored in its
+natural order: the same fill, entries that agree to rounding, and no
+ordering, sum or CSC conversion per factor.  Building the factor from the
+assembled convection matrix (one BLAS thread, a u-matrix of ``useps``/
+``uv`` one step into the gauss run, medians of interleaved calls; the
+order is a one-off cost of set-up):
+
+    n (nx)        scipy sum + order + ILU   ordered ILU   the order, once
+    441 (20)      1.49-1.55 ms              1.11-1.14 ms  0.66-1.00 ms
+    1681 (40)     5.57-5.68 ms              4.64-4.74 ms  1.7-2.5 ms
+    25921 (160)   88-90 ms                  73-79 ms      23-25 ms
+
+If SuperLU cannot factor the matrix, BiCGStab runs with the Jacobi
+preconditioner instead.
 
 The two Krylov loops live in this module instead of calling scipy's
 ``cg``/``bicgstab``: the systems are small and solved thousands of times
@@ -77,12 +93,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveResult", "SolverError", "SPDSolver", "solve_spd", "solve_general"]
+__all__ = [
+    "SolveResult",
+    "SolverError",
+    "SPDSolver",
+    "FillOrder",
+    "OrderedMatrix",
+    "solve_spd",
+    "solve_general",
+]
 
 
 @dataclass(frozen=True)
@@ -208,13 +233,66 @@ def _bicgstab(A, b, x0, psolve, atol, maxiter):
     return x, maxiter, maxiter
 
 
-def _superlu(factor, A, **options):
+def _superlu(factor, A, permc_spec="MMD_AT_PLUS_A", **options):
     """``factor`` (``spla.splu`` or ``spla.spilu``) of A in SuperLU's settings
     for the P1 pattern.  Minimum degree on A^T + A suits that symmetric
     pattern and leaves less fill than the default COLAMD; with supernodes
     off as well (relax = panel_size = 1) the LUs build in 0.55-0.75 of the
     time, with the same fill, and the ILUs in about half."""
-    return factor(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1, **options)
+    return factor(sp.csc_matrix(A), permc_spec=permc_spec, relax=1, panel_size=1, **options)
+
+
+# the u-matrix ILU: nearly exact, so BiCGStab converges in about one iteration
+_ILU = dict(drop_tol=1e-6, fill_factor=20)
+
+
+class FillOrder:
+    """The order ``_superlu`` gives the columns of every matrix on one sparsity
+    pattern, taken once, for matrices assembled on that pattern again and
+    again.  Minimum degree and SuperLU's postorder of the elimination tree
+    read the pattern alone, so a factor of the matrix permuted into this
+    order (rows and columns alike) and taken in its natural order has the
+    same fill and the same entries, up to rounding, as ``_superlu``'s own.
+
+    ``pattern`` is a CSR matrix that SuperLU can factor; its values serve
+    only the one factor the order is read from.  ``perm[j]`` is the unknown
+    at position j of the order, and ``gather`` the index, in the pattern's
+    ``data``, of each entry of the permuted matrix in CSC order."""
+
+    def __init__(self, pattern):
+        n = pattern.shape[0]
+        # drop_tol = 1 keeps little more than the diagonal: only the order is
+        # read, which puts unknown i at position where[i]
+        where = _superlu(spla.spilu, pattern, drop_tol=1.0, fill_factor=1).perm_c
+        self.perm = np.argsort(where)
+        rows = where[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        cols = where[pattern.indices]
+        self.gather = np.argsort(cols.astype(np.int64) * n + rows)  # by column, then row
+        self.indices = rows[self.gather]
+        self.indptr = np.zeros(n + 1, dtype=self.indices.dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+
+    def ilu(self, A):
+        """The ILU solve r -> P r of A, a CSR matrix on the pattern (its
+        ``data`` in the pattern's order), factored in this order."""
+        ordered = sp.csc_matrix((A.data[self.gather], self.indices, self.indptr), shape=A.shape)
+        factor = _superlu(spla.spilu, ordered, permc_spec="NATURAL", **_ILU)
+        perm = self.perm
+
+        def solve(r):
+            x = np.empty_like(r)
+            x[perm] = factor.solve(r[perm])
+            return x
+
+        return solve
+
+
+class OrderedMatrix(NamedTuple):
+    """A CSR matrix ``A`` on the pattern of ``order``, which ``solve_general``
+    factors in that order instead of ordering it afresh."""
+
+    A: sp.csr_matrix
+    order: FillOrder
 
 
 class SPDSolver:
@@ -268,24 +346,29 @@ def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     return SolveResult(x, iters, res)
 
 
-def _ilu(A):
-    """Preconditioner solve of the u-systems: ILU, or Jacobi if SuperLU fails."""
+def _ilu(A, order=None):
+    """Preconditioner solve of the u-systems: ILU, in the order ``_superlu``
+    picks for A or in ``order``'s, or Jacobi if SuperLU fails."""
     # Jacobi is not enough for the convection-dominated steps (strong skew
     # part makes BiCGStab itself diverge even at condition numbers ~100).
     try:
-        return _superlu(spla.spilu, A, drop_tol=1e-6, fill_factor=20).solve
+        if order is None:
+            return _superlu(spla.spilu, A, **_ILU).solve
+        return order.ilu(A)
     except RuntimeError:
         return _jacobi_solve(A)
 
 
 def solve_general(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     """ILU-preconditioned BiCGStab; on breakdown restarts once from the
-    current iterate, then errors out."""
+    current iterate, then errors out.  ``A`` is a sparse matrix, or an
+    ``OrderedMatrix``, whose ILU takes the order it carries."""
     b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
     atol = rel_tol * bnorm
-    psolve = _ilu(A)
+    A, order = A if isinstance(A, OrderedMatrix) else (A, None)
+    psolve = _ilu(A, order)
     x, info, iters = _bicgstab(A, b, x0, psolve, atol, maxiter)
     if info != 0:
         x, info, more = _bicgstab(A, b, x, psolve, atol, maxiter)

@@ -55,6 +55,10 @@ class StructuredTriMesh:
     boundary_kind : (n_nodes,) int array of INTERIOR/EDGE_X/EDGE_Y/CORNER
     areas : (n_elements,) element areas
     grads : (n_elements, 3, 2) constant gradients of the three hat functions
+    shape_areas, shape_grads : (2,) areas and (2, 3, 2) hat gradients of the
+        two element shapes, from the cell sides: every even element is a
+        translate of the lower triangle (shape 0), every odd one of the upper
+        (shape 1), which ``areas`` and ``grads`` repeat up to rounding
     h : max element diameter (the cell hypotenuse)
     D : (n_nodes,) lumped mass, the sum of |K|/3 over the elements at each
         node; the lumped product is (u, w)^h = (D u) . w
@@ -106,6 +110,11 @@ class StructuredTriMesh:
         self.boundary_kind = kind
 
         self.areas, self.grads = self._geometry()
+        gx, gy = 1.0 / hx, 1.0 / hy
+        self.shape_areas = np.full(2, 0.5 * hx * hy)
+        self.shape_grads = np.array(
+            [[[gx, -gy], [0.0, gy], [-gx, 0.0]], [[-gx, gy], [0.0, -gy], [gx, 0.0]]]
+        )
 
         self._plan = self._p1_plan()
         lumped = np.repeat((self.areas / 3.0)[:, None], 3, axis=1)

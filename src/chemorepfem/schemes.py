@@ -162,6 +162,25 @@ def us0_diffusion_terms(mesh, u, p):
     return c, g
 
 
+def _free_block_diag(A, free):
+    """``sp.block_diag([A, A], format="csr")[free, :][:, free]`` for a CSR
+    matrix ``A`` with sorted indices and sorted stacked DOFs ``free``, with
+    the same arrays, read off A's: the kept entries keep their order, which
+    is row by row, and within a row by column."""
+    n = A.shape[0]
+    new = np.full(2 * n, -1)
+    new[free] = np.arange(free.size)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    rows = new[np.concatenate([rows, rows + n])]
+    cols = new[np.concatenate([A.indices, A.indices + n])]
+    keep = (rows >= 0) & (cols >= 0)
+    indptr = np.zeros(free.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=free.size), out=indptr[1:])
+    data = np.concatenate([A.data, A.data])[keep]
+    indices = cols[keep].astype(A.indices.dtype)
+    return sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
+
+
 def _push(h, m, new, old):
     """Write ``new - old`` as the newest row of the history ``h``, whose
     first ``m`` rows are in use, oldest first; a full history shifts its
@@ -223,10 +242,19 @@ class Workspace:
         self.A_v = (mesh.M / k + mesh.A).tocsr()
         # u-equation base: plain backward Euler uses the consistent mass,
         # the lumped schemes the diagonal one
-        if cfg.scheme == "uv":
-            self.A_u = (mesh.M / k + mesh.S).tocsr()
-        else:
+        if cfg.scheme == "uveps":
             self.A_u = (sp.diags(mesh.D) / k + mesh.S).tocsr()
+        else:
+            # kept on the P1 pattern of S and M, zeros included, which every
+            # convection matrix shares (1/k as scipy's M / k takes it): each
+            # iterate adds its convection to the data and factors the sum in
+            # one order, taken here from M, which is SPD and stores the pattern
+            self.A_u = mesh.S.copy()
+            if cfg.scheme == "uv":
+                self.A_u.data += mesh.M.data * (1.0 / k)
+            else:
+                self.A_u.setdiag(self.A_u.diagonal() + mesh.D * (1.0 / k))
+            self.u_order = linsolve.FillOrder(mesh.M)
         # one solver per constant SPD operator: the u-matrix is one only
         # for uveps, the others add convection to it on every iterate
         self.v_solver = linsolve.SPDSolver(self.A_v)
@@ -239,7 +267,7 @@ class Workspace:
             # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
             # x-y coupling is a boundary term, each entry at a clamped DOF
             free = self.sigma_free = np.flatnonzero(~fem.sigma_fixed_mask(mesh))
-            self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
+            self.A_sig_red = _free_block_diag(self.A_v, free)
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
 
     # -- norms and changes ----------------------------------------------------
@@ -269,7 +297,10 @@ class Workspace:
             c, g = us0_diffusion_terms(mesh, ul, p)
             # frozen degenerate diffusion on the right, linear stabilizer on the left
             rhs = rhs + mesh.S @ ul - fem.weighted_gradient_load(mesh, c, g) / (p - 1.0)
-        r = linsolve.solve_general(self.A_u + conv, rhs, cfg.linear_tol, x0=ul)
+        # A_u + C(w), in place on the pattern
+        conv.data += self.A_u.data
+        u_matrix = linsolve.OrderedMatrix(conv, self.u_order)
+        r = linsolve.solve_general(u_matrix, rhs, cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
     def _solve_v(self, v_load, u, x0):

@@ -193,11 +193,27 @@ def _mass_and_law(ops, prev, state):
     return diagnostics.mass(ops.mesh, state.u), lhs / max(e_prev, 1e-300)
 
 
+class _Unmade:
+    """Traces whose making crashed: reading them raises the crash, which the
+    reading check reports as its failure."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def _raise(self, *key):
+        raise self.exc
+
+    __getitem__ = items = _raise
+
+
 def _shared(make, *checks) -> List[CheckResult]:
     """Run checks that read one set of traces, each charged an equal share
     of the time to make them."""
     t0 = time.perf_counter()
-    traces = make()
+    try:
+        traces = make()
+    except Exception as exc:  # each check then fails with the exception as detail
+        traces = _Unmade(exc)
     share = (time.perf_counter() - t0) / len(checks)
     return [replace(r, seconds=r.seconds + share) for r in (check(traces) for check in checks)]
 

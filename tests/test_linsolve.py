@@ -506,3 +506,104 @@ def test_jacobi_runs_once_per_operator(direct, monkeypatch):
     assert sum(rep.iterations for rep in reports) >= 10
     # A_v and A_sig_red, each once
     assert calls == [ws.A_v.shape, ws.A_sig_red.shape]
+
+
+# -- the u-matrix of uv/useps/us0 in its fixed order ---------------------------
+
+_ILU_LEGS = [("uv", None), ("useps", 1e-3), ("us0", None)]
+
+
+def _ilu_leg(scheme, eps, nx, dt=1e-2):
+    mesh = build_rect_mesh(nx, nx, 2.0, 2.0)
+    cfg = SchemeConfig(scheme, 1.5, dt, eps=eps, picard_tol=1e-10)
+    ic = get_preset("gauss")
+    return Workspace(mesh, cfg), init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+
+
+def _spy_spilu(monkeypatch):
+    """Record (permc_spec, matrix, factor) of every spla.spilu call."""
+    real, calls = spla.spilu, []
+
+    def spy(A, **kwargs):
+        fac = real(A, **kwargs)
+        calls.append((kwargs.get("permc_spec"), A, fac))
+        return fac
+
+    monkeypatch.setattr(spla, "spilu", spy)
+    return calls
+
+
+def _u_matrix(ws, conv):
+    """The u-matrix A_u + C of a uv/useps/us0 Workspace on the P1 pattern,
+    explicit zeros included, as its u-solve assembles it."""
+    conv = conv.copy()
+    conv.data += ws.A_u.data
+    return conv
+
+
+def _convection(ws, state):
+    mesh = ws.mesh
+    if ws.cfg.scheme == "uv":
+        return fem.convection_u(mesh, fem.grad_p1(mesh, state.v), kind="element")
+    return fem.convection_u(mesh, state.sigma, kind="nodal")
+
+
+@pytest.mark.parametrize("scheme,eps", _ILU_LEGS)
+def test_ordered_u_matrix_is_the_permuted_sum(scheme, eps, monkeypatch):
+    # the first iterate's matrix is P (A_u + C(w)) P^T entry for entry, with
+    # A_u and the sum formed by scipy: consistent for uv, lumped otherwise
+    ws, state = _ilu_leg(scheme, eps, nx=6)
+    mesh, k = ws.mesh, ws.cfg.dt
+    base = mesh.M / k + mesh.S if scheme == "uv" else sp.diags(mesh.D) / k + mesh.S
+    calls = _spy_spilu(monkeypatch)
+    ws.step(state)
+    assert calls and all(spec == "NATURAL" for spec, _, _ in calls)
+    perm = ws.u_order.perm
+    ref = (base + _convection(ws, state)).toarray()[np.ix_(perm, perm)]
+    assert np.array_equal(calls[0][1].toarray(), ref)
+
+
+@pytest.mark.parametrize("nx", [20, 40])
+@pytest.mark.parametrize("scheme,eps", _ILU_LEGS)
+def test_ordered_factor_has_the_per_call_fill(scheme, eps, nx, monkeypatch):
+    ws, state = _ilu_leg(scheme, eps, nx, dt=1e-4)
+    A = _u_matrix(ws, _convection(ws, state))
+    calls = _spy_spilu(monkeypatch)
+    fresh, ordered = linsolve._ilu(A), linsolve._ilu(A, ws.u_order)
+    (_, _, f_fresh), (spec, _, f_ordered) = calls
+    assert spec == "NATURAL" and f_ordered.nnz == f_fresh.nnz
+    r = np.random.default_rng(nx).normal(size=A.shape[0])
+    x = fresh(r)
+    assert np.abs(ordered(r) - x).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("scheme,eps", _ILU_LEGS + [("uveps", 1e-3)])
+def test_order_is_taken_once_at_set_up(scheme, eps, monkeypatch):
+    calls = _spy_spilu(monkeypatch)
+    ws, state = _ilu_leg(scheme, eps, nx=8, dt=1e-4)
+    # init_state factors nothing by ILU; uveps has no u-matrix to order
+    assert [spec for spec, _, _ in calls] == ([] if scheme == "uveps" else ["MMD_AT_PLUS_A"])
+    del calls[:]
+    iterates = sum(rep.iterations for _, _, rep in ws.march(state, 3))
+    specs = [spec for spec, _, _ in calls]
+    assert specs == ([] if scheme == "uveps" else ["NATURAL"] * iterates)
+
+
+@pytest.mark.parametrize("scheme,eps", [("uv", None), ("useps", 1e-3)])
+def test_a_state_stepped_twice_gives_the_same_bits(scheme, eps):
+    ws, state = _ilu_leg(scheme, eps, nx=20)
+    (a, rep_a), (b, rep_b) = ws.step(state), ws.step(state)
+    assert rep_a == rep_b
+    for field in ("u", "v", "sigma"):
+        if getattr(a, field) is not None:
+            assert_bitwise(getattr(a, field), getattr(b, field))
+
+
+def test_ordered_path_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
+    ws, state = _ilu_leg("useps", 1e-3, nx=6, dt=1e-4)
+    A = _u_matrix(ws, _convection(ws, state))
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    r = np.random.default_rng(6).normal(size=A.shape[0])
+    assert_bitwise(linsolve._ilu(A, ws.u_order)(r), linsolve._jacobi(A) * r)
+    new, rep = ws.step(state)
+    assert rep.iterations >= 1 and np.all(np.isfinite(new.u))

@@ -133,6 +133,10 @@ def test_mesh_geometry_properties(m):
     assert m.areas.sum() == pytest.approx(m.lx * m.ly, rel=1e-12)
     scale = np.abs(m.grads).max(axis=1)
     assert np.all(np.abs(m.grads.sum(axis=1)) <= 1e-14 * scale)
+    # even elements are translates of shape 0, odd ones of shape 1
+    for s in range(2):
+        assert np.abs(m.grads[s::2] - m.shape_grads[s]).max() <= 1e-12 * scale.max()
+        assert np.abs(m.areas[s::2] / m.shape_areas[s] - 1.0).max() <= 1e-12
     x, y = m.nodes[:, 0], m.nodes[:, 1]
     on_v, on_h = (x == 0) | (x == m.lx), (y == 0) | (y == m.ly)
     want = np.select([on_v & on_h, on_h, on_v], [CORNER, EDGE_X, EDGE_Y], INTERIOR)

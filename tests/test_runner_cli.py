@@ -222,7 +222,12 @@ def test_failure_names_the_last_completed_step_between_rows(tmp_path, capsys, mo
     out = tmp_path / "run"
     args = ["--scheme", "uv", "--nx", "4", "--ny", "4", "--dt", "1e-3", "--steps", "6"]
     assert main(["run", *args, "--output-every", "2", "--out", str(out)]) == 2
-    assert "steps completed: 3/6" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    # the mass printed is the last row's, and the line names its step
+    with open(out / "series.csv") as fp:
+        rows = list(csv.DictReader(fp))
+    assert rows[-1]["step"] == "2"
+    assert f"steps completed: 3/6  mass at step 2: {float(rows[-1]['mass'])!r}" in summary
     assert (out / "FAILED").read_text().endswith("last completed step: 3\n")
     base = RunConfig(dt=1e-3, steps=6, nx=4, ny=4, output_every=2)
     manifest = sweep(base, ["uv"], [1.5], [None], str(tmp_path / "sw"))
@@ -699,6 +704,24 @@ def test_us0_cosine_residual_column_nonpositive(tmp_path):
 
 def test_cli_verify_fast_passes():
     assert main(["verify", "--level", "fast"]) == 0
+
+
+def test_cli_verify_reports_a_crash_in_shared_traces(monkeypatch, capsys):
+    # a crash while making the gauss traces fails criteria 4 and 5 with the
+    # exception as their detail; the other criteria still run
+    from chemorepfem import diagnostics
+
+    def crash(*args):
+        raise ValueError("law crashed")
+
+    monkeypatch.setattr(diagnostics, "energy_law_lhs", crash)
+    assert main(["verify", "--level", "fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 2
+    for line, name in zip(failed, ("4 mass conservation", "5 discrete energy laws")):
+        assert name in line and line.endswith("ValueError: law crashed")
+    assert sum(line.startswith("[PASS]") for line in lines) == 5
 
 
 def test_cli_verify_fast_mutation_detection(monkeypatch):
