@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .mesh import _MASS_BASE, CORNER, EDGE_X, EDGE_Y
+from .mesh import _MASS_BASE
 
 __all__ = [
     "sigma_fixed_mask",
@@ -63,12 +63,12 @@ def sigma_fixed_mask(mesh) -> np.ndarray:
     """Stacked-DOF mask of components clamped by the zero normal trace.
 
     On a rectangle: y-components on horizontal edges, x-components on
-    vertical edges, both at corners.
+    vertical edges, both at corners.  Node (i, j) has index j*(nx+1) + i.
     """
-    kind = mesh.boundary_kind
-    fix_x = (kind == EDGE_Y) | (kind == CORNER)
-    fix_y = (kind == EDGE_X) | (kind == CORNER)
-    return np.concatenate([fix_x, fix_y])
+    j, i = np.divmod(np.arange(mesh.n_nodes), mesh.nx + 1)
+    on_v = (i == 0) | (i == mesh.nx)
+    on_h = (j == 0) | (j == mesh.ny)
+    return np.concatenate([on_v, on_h])
 
 
 def stack_vec(w: np.ndarray) -> np.ndarray:
@@ -112,15 +112,16 @@ def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
     mass under testing by 1.
 
     The local blocks are linear in the element's values of ``w`` with
-    coefficients that depend on its shape alone, so each kind is one small
-    matrix per shape (``mesh.shape_grads``): (2 x 3) for "element", row i
-    of a block being |K|/3 w . grad phi_i in every column, and (6 x 9) for
-    "nodal", entry (i, j) taking |K| (grad phi_i)_d (1 + delta_jb)/12 of
-    w_d at vertex b.  Each is applied as one matrix product over the
-    elements of its shape.
+    coefficients that depend on its shape alone.  Every even element is a
+    translate of element 0 and every odd one of element 1, so each kind is
+    one small matrix per shape, read off those two elements: (2 x 3) for
+    "element", row i of a block being |K|/3 w . grad phi_i in every column,
+    and (6 x 9) for "nodal", entry (i, j) taking |K| (grad phi_i)_d
+    (1 + delta_jb)/12 of w_d at vertex b.  Each is applied as one matrix
+    product over the elements of its shape.
     """
     w = np.asarray(w, dtype=float)
-    areas, grads = mesh.shape_areas, mesh.shape_grads
+    areas, grads = mesh.areas[:2], mesh.grads[:2]
     if kind == "element":
         if w.shape != (mesh.n_elements, 2):
             raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")

@@ -16,21 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "StructuredTriMesh",
-    "build_rect_mesh",
-    "INTERIOR",
-    "EDGE_X",
-    "EDGE_Y",
-    "CORNER",
-]
-
-# Node classification: EDGE_X lies on a boundary edge parallel to the x-axis
-# (y = 0 or y = ly), EDGE_Y on one parallel to the y-axis.
-INTERIOR = 0
-EDGE_X = 1
-EDGE_Y = 2
-CORNER = 3
+__all__ = ["StructuredTriMesh", "build_rect_mesh"]
 
 # (ones + I)/12 scaled by area is the local P1 mass matrix
 _MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -43,7 +29,9 @@ class StructuredTriMesh:
     diagonal, putting the right angles at the lower-right and upper-left
     cell corners.  Element connectivity is (a0, a1, a2), counterclockwise,
     with a0 the right-angle vertex: on every element the leg a0->a1 runs
-    along y and the leg a0->a2 along x.
+    along y and the leg a0->a2 along x.  Node (i, j) of the grid has index
+    j*(nx+1) + i.  Elements alternate lower/upper triangle, so every even
+    element is a translate of element 0 and every odd one of element 1.
 
     Every attribute is set by the constructor and never changed, so an
     instance can be shared across threads.
@@ -52,14 +40,8 @@ class StructuredTriMesh:
     ----------
     nodes : (n_nodes, 2) float array, node i at row i
     elements : (n_elements, 3) int array
-    boundary_kind : (n_nodes,) int array of INTERIOR/EDGE_X/EDGE_Y/CORNER
     areas : (n_elements,) element areas
     grads : (n_elements, 3, 2) constant gradients of the three hat functions
-    shape_areas, shape_grads : (2,) areas and (2, 3, 2) hat gradients of the
-        two element shapes, from the cell sides: every even element is a
-        translate of the lower triangle (shape 0), every odd one of the upper
-        (shape 1), which ``areas`` and ``grads`` repeat up to rounding
-    h : max element diameter (the cell hypotenuse)
     D : (n_nodes,) lumped mass, the sum of |K|/3 over the elements at each
         node; the lumped product is (u, w)^h = (D u) . w
     M : CSR consistent mass; its row sums reproduce D
@@ -72,15 +54,12 @@ class StructuredTriMesh:
             raise ValueError("cell counts nx, ny must be integers")
         if nx < 1 or ny < 1:
             raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
-        if not (lx > 0 and ly > 0):
-            raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
+        if not (0 < lx < np.inf and 0 < ly < np.inf):
+            raise ValueError(f"side lengths must be positive and finite, got lx={lx}, ly={ly}")
         self.nx, self.ny = int(nx), int(ny)
         self.lx, self.ly = float(lx), float(ly)
-        hx = self.lx / self.nx
-        hy = self.ly / self.ny
-        self.h = float(np.hypot(hx, hy))
 
-        # nodes: index = j*(nx+1) + i at (i*hx, j*hy)
+        # nodes: index = j*(nx+1) + i at (i*lx/nx, j*ly/ny)
         xs = np.linspace(0.0, self.lx, self.nx + 1)
         ys = np.linspace(0.0, self.ly, self.ny + 1)
         I, J = np.meshgrid(np.arange(self.nx + 1), np.arange(self.ny + 1))
@@ -99,23 +78,7 @@ class StructuredTriMesh:
         self.elements[0::2] = lower
         self.elements[1::2] = upper
 
-        kind = np.full(self.n_nodes, INTERIOR, dtype=np.int8)
-        i_idx = I.ravel()
-        j_idx = J.ravel()
-        on_v = (i_idx == 0) | (i_idx == self.nx)
-        on_h = (j_idx == 0) | (j_idx == self.ny)
-        kind[on_h] = EDGE_X
-        kind[on_v] = EDGE_Y
-        kind[on_h & on_v] = CORNER
-        self.boundary_kind = kind
-
         self.areas, self.grads = self._geometry()
-        gx, gy = 1.0 / hx, 1.0 / hy
-        self.shape_areas = np.full(2, 0.5 * hx * hy)
-        self.shape_grads = np.array(
-            [[[gx, -gy], [0.0, gy], [-gx, 0.0]], [[-gx, gy], [0.0, -gy], [gx, 0.0]]]
-        )
-
         self._plan = self._p1_plan()
         lumped = np.repeat((self.areas / 3.0)[:, None], 3, axis=1)
         self.D = np.bincount(self.elements.ravel(), weights=lumped.ravel(), minlength=self.n_nodes)

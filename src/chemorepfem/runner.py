@@ -287,11 +287,17 @@ def sweep(
     if not (schemes and ps and epss) or jobs < 1:
         raise ConfigError(f"a sweep needs a value on every axis and jobs >= 1, got jobs {jobs}")
     # schemes without eps drop it, so their eps-axis points share one name
+    # and one run; distinct configs under one name would overwrite each other
     runs = {}
     for scheme, p, eps in product(schemes, ps, epss):
         rc = replace(base, scheme=scheme, p=p, eps=eps)
         name = f"{scheme}_p{p:g}_eps{_eps_tag(rc.eps)}"
-        runs.setdefault(name, replace(rc, out_dir=os.path.join(out_dir, name)))
+        rc = replace(rc, out_dir=os.path.join(out_dir, name))
+        if runs.setdefault(name, rc) != rc:
+            raise ConfigError(
+                f"sweep points p={runs[name].p!r}, eps={runs[name].eps!r} and p={p!r}, "
+                f"eps={rc.eps!r} of scheme {scheme} share the run name {name!r}"
+            )
     _make_dir(out_dir)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

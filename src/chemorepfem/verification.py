@@ -244,13 +244,12 @@ def gauss_traces(base=_BASE):
     return traces
 
 
-def check_mass_conservation(traces=None) -> CheckResult:
+def check_mass_conservation(traces) -> CheckResult:
     def body():
-        trs = traces if traces is not None else gauss_traces()
         details = []
         ok = True
         for scheme, eps in _GAUSS_RUNS:
-            mass0, values, failure = trs[scheme, eps, _BASE.dt]
+            mass0, values, failure = traces[scheme, eps, _BASE.dt]
             if failure:
                 ok = False
                 details.append(f"{scheme}: {failure}")
@@ -272,13 +271,12 @@ def energy_law_leg_result(traces, scheme, eps, dt):
     return worst <= 1e-8, f"{scheme} dt={dt:g}: worst rel LHS {worst:+.2e} (tol 1e-8)"
 
 
-def check_energy_laws(traces=None) -> CheckResult:
+def check_energy_laws(traces) -> CheckResult:
     def body():
-        trs = traces if traces is not None else gauss_traces()
         ok = True
         details = []
         for scheme, eps, dt in energy_law_legs():
-            leg_ok, detail = energy_law_leg_result(trs, scheme, eps, dt)
+            leg_ok, detail = energy_law_leg_result(traces, scheme, eps, dt)
             ok = ok and leg_ok
             details.append(("PASS " if leg_ok else "FAIL ") + detail)
         return ok, "; ".join(details)
@@ -323,12 +321,11 @@ def cosine_traces():
     }
 
 
-def check_exact_energy_monotone(traces=None) -> CheckResult:
+def check_exact_energy_monotone(traces) -> CheckResult:
     def body():
-        trs = traces if traces is not None else cosine_traces()
         ok = True
         details = []
-        for (scheme, eps), (ee, _, failure) in trs.items():
+        for (scheme, eps), (ee, _, failure) in traces.items():
             if failure:
                 ok = False
                 details.append(f"{scheme}/{eps}: {failure}")
@@ -343,13 +340,12 @@ def check_exact_energy_monotone(traces=None) -> CheckResult:
     return _result("6 exact-energy monotonicity", body)
 
 
-def check_residual_signs(traces=None) -> CheckResult:
+def check_residual_signs(traces) -> CheckResult:
     def body():
-        trs = traces if traces is not None else cosine_traces()
         ok = True
         details = []
         us0_failed = False
-        for (scheme, eps), (_, re, failure) in trs.items():
+        for (scheme, eps), (_, re, failure) in traces.items():
             if failure:
                 ok = False
                 details.append(f"{scheme}/{eps}: {failure}")

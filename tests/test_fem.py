@@ -129,13 +129,14 @@ def test_op_Ah_spd_and_decomposition(small_mesh):
 
 
 def test_sigma_fixed_mask(small_mesh):
-    from chemorepfem.mesh import CORNER, EDGE_X, EDGE_Y
-
     mask = fem.unstack_vec(fem.sigma_fixed_mask(small_mesh).astype(float)).astype(bool)
-    kind = small_mesh.boundary_kind
-    assert np.all(mask[kind == CORNER].all(axis=1))
-    assert np.all(mask[kind == EDGE_X, 1]) and not mask[kind == EDGE_X, 0].any()
-    assert np.all(mask[kind == EDGE_Y, 0]) and not mask[kind == EDGE_Y, 1].any()
+    x, y = small_mesh.nodes[:, 0], small_mesh.nodes[:, 1]
+    on_v = (x == 0) | (x == small_mesh.lx)
+    on_h = (y == 0) | (y == small_mesh.ly)
+    assert np.all(mask[on_v & on_h].all(axis=1))
+    assert np.all(mask[on_h & ~on_v, 1]) and not mask[on_h & ~on_v, 0].any()
+    assert np.all(mask[on_v & ~on_h, 0]) and not mask[on_v & ~on_h, 1].any()
+    assert not mask[~on_v & ~on_h].any()
 
 
 def test_convection_zero_field(small_mesh):
@@ -156,12 +157,11 @@ def test_convection_column_sums_vanish(small_mesh):
 def test_convection_interior_row_sums_for_constant_field(small_mesh):
     # constant w is divergence-free; row sums reproduce int w . grad(phi_i),
     # which vanishes at interior nodes
-    from chemorepfem.mesh import INTERIOR
-
     w = np.tile([1.0, 0.0], (small_mesh.n_nodes, 1))
     c = fem.convection_u(small_mesh, w, kind="nodal")
     rows = np.asarray(c.sum(axis=1)).ravel()
-    interior = small_mesh.boundary_kind == INTERIOR
+    x, y = small_mesh.nodes[:, 0], small_mesh.nodes[:, 1]
+    interior = (0 < x) & (x < small_mesh.lx) & (0 < y) & (y < small_mesh.ly)
     assert np.abs(rows[interior]).max() <= 1e-14
 
 

@@ -30,16 +30,13 @@ def test_counts_and_areas():
 
 
 def test_invalid_arguments_rejected():
-    for args in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]:
+    bad = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]
+    bad += [(2, 2, float("inf"), 1.0), (2, 2, 1.0, float("inf"))]
+    for args in bad:
         with pytest.raises(ValueError):
             build_rect_mesh(*args)
     with pytest.raises(ValueError):
         build_rect_mesh(1.5, 1, 1.0, 1.0)
-
-
-def test_diameter_formula():
-    m = build_rect_mesh(5, 4, 2.0, 1.0)
-    assert m.h == pytest.approx(np.hypot(2.0 / 5, 1.0 / 4), rel=1e-14)
 
 
 @pytest.mark.parametrize("nx,ny,lx,ly", [(1, 1, 1.0, 1.0), (3, 2, 2.0, 1.0), (4, 4, 2.0, 2.0)])
@@ -92,27 +89,12 @@ def test_element_geometry_scaled_legs():
         element_geometry(m, m.n_elements)
 
 
-def test_boundary_classification():
-    from chemorepfem.mesh import CORNER, EDGE_X, EDGE_Y, INTERIOR
-
-    m = build_rect_mesh(2, 2, 2.0, 2.0)
-    kind = m.boundary_kind
-    x, y = m.nodes[:, 0], m.nodes[:, 1]
-    on_v = (x == 0) | (x == 2)
-    on_h = (y == 0) | (y == 2)
-    assert np.all(kind[on_v & on_h] == CORNER)
-    assert np.all(kind[on_h & ~on_v] == EDGE_X)
-    assert np.all(kind[on_v & ~on_h] == EDGE_Y)
-    assert np.all(kind[~on_v & ~on_h] == INTERIOR)
-
-
 # -- properties over random meshes -------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chemorepfem import fem  # noqa: E402
-from chemorepfem.mesh import CORNER, EDGE_X, EDGE_Y, INTERIOR  # noqa: E402
 
 meshes = st.builds(
     build_rect_mesh,
@@ -133,14 +115,16 @@ def test_mesh_geometry_properties(m):
     assert m.areas.sum() == pytest.approx(m.lx * m.ly, rel=1e-12)
     scale = np.abs(m.grads).max(axis=1)
     assert np.all(np.abs(m.grads.sum(axis=1)) <= 1e-14 * scale)
-    # even elements are translates of shape 0, odd ones of shape 1
+    # even elements are translates of element 0, odd ones of element 1
+    # (convection reads its two kernels off them)
     for s in range(2):
-        assert np.abs(m.grads[s::2] - m.shape_grads[s]).max() <= 1e-12 * scale.max()
-        assert np.abs(m.areas[s::2] / m.shape_areas[s] - 1.0).max() <= 1e-12
+        assert np.abs(m.grads[s::2] - m.grads[s]).max() <= 1e-12 * scale.max()
+        assert np.abs(m.areas[s::2] / m.areas[s] - 1.0).max() <= 1e-12
+    # the clamp mask, taken from the node numbering, marks x-components on
+    # the vertical sides and y-components on the horizontal ones
     x, y = m.nodes[:, 0], m.nodes[:, 1]
     on_v, on_h = (x == 0) | (x == m.lx), (y == 0) | (y == m.ly)
-    want = np.select([on_v & on_h, on_h, on_v], [CORNER, EDGE_X, EDGE_Y], INTERIOR)
-    assert np.array_equal(m.boundary_kind, want)
+    assert np.array_equal(fem.sigma_fixed_mask(m), np.concatenate([on_v, on_h]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -459,6 +459,26 @@ def test_sweep_manifest(tmp_path):
         assert os.path.exists(os.path.join(r["dir"], "series.csv"))
 
 
+def test_sweep_refuses_distinct_runs_under_one_name(tmp_path, monkeypatch):
+    # run names keep 6 significant digits of p and eps: two configs that
+    # differ beyond them would share a directory, so the sweep is refused
+    # before anything runs or is written; identical configs still merge
+    def no_work(rc):
+        raise AssertionError("the sweep started a run before checking its names")
+
+    monkeypatch.setattr(runner, "start", no_work)
+    out = tmp_path / "sw"
+    base = RunConfig(ic="constant:2:1", **FAST)
+    for ps, epss in (([1.1, 1.1000001], [1e-3]), ([1.5], [1e-3, 1.0000001e-3])):
+        with pytest.raises(ConfigError, match="share the run name"):
+            sweep(base, ["uveps"], ps, epss, str(out))
+        assert not out.exists()
+    monkeypatch.undo()
+    manifest = sweep(base, ["uv"], [1.5, 1.5], [1e-3, 1.0000001e-3], str(out))
+    with open(manifest) as fp:
+        assert [r["run"] for r in csv.DictReader(fp)] == ["uv_p1.5_epsnone"]
+
+
 def test_single_point_sweep_equals_run(tmp_path):
     base = RunConfig(scheme="uv", ic="constant:2:1", **FAST)
     manifest = sweep(base, ["uv"], [1.5], [None], str(tmp_path / "sw1"), jobs=1)
@@ -557,11 +577,12 @@ def test_cli_flags_are_typed_by_run_config(tmp_path, capsys, command, arg):
 @pytest.mark.parametrize(
     "arg",
     ["--ps=abc", "--ps=none", "--epss=abc", "--schemes=bogus", "--ps=3", "--epss=2"]
-    + ["--ps=,", "--schemes=,", "--jobs=0", "--jobs=-2"],
+    + ["--ps=,", "--schemes=,", "--jobs=0", "--jobs=-2", "--ps=1.1,1.1000001"],
 )
 def test_cli_sweep_axes_are_typed_by_run_config(tmp_path, capsys, arg):
     # an axis value is converted and checked as its config key's is, and an
-    # empty axis or a job count below 1 is refused the same way: exit 3
+    # empty axis, a job count below 1 or two axis values that name one run
+    # with different configs are refused the same way: exit 3
     out = tmp_path / "sw"
     args = ["--nx", "4", "--ny", "4", "--schemes", "uveps", "--eps", "1e-3", arg]
     code = main(["sweep", *args, "--sweep-out", str(out)])
