@@ -165,16 +165,17 @@ def project_Qh(mesh, u) -> np.ndarray:
     return (mesh.M @ un) / mesh.D
 
 
-def project_Qh_vec(mesh, w_elem) -> np.ndarray:
+def project_Qh_vec(mesh, w_elem, rel_tol: float = 1e-12) -> np.ndarray:
     """Component-wise consistent L2 projection of a per-element constant
-    vector field, with the zero-normal-trace components zeroed afterwards."""
+    vector field, with the zero-normal-trace components zeroed afterwards;
+    each solve meets the relative residual ``rel_tol``."""
     w = np.asarray(w_elem, dtype=float)
     if w.shape != (mesh.n_elements, 2):
         raise ValueError(f"expected shape {(mesh.n_elements, 2)}, got {w.shape}")
     out = np.empty((mesh.n_nodes, 2))
     for c in range(2):
         rhs = _scatter_vector(mesh, np.repeat((mesh.areas / 3.0 * w[:, c])[:, None], 3, axis=1))
-        out[:, c] = linsolve.solve_spd(mesh.M, rhs).x
+        out[:, c] = linsolve.solve_spd(mesh.M, rhs, rel_tol).x
     out[unstack_vec(sigma_fixed_mask(mesh))] = 0.0
     return out
 
@@ -247,13 +248,13 @@ def _fd_gradient(v, delta=1e-6):
     return grad
 
 
-def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
+def project_Rh(mesh, v, grad_v=None, rel_tol: float = 1e-12) -> np.ndarray:
     """H1 projection: (grad Rv, grad w) + (Rv, w) = (grad v, grad w) + (v, w).
 
     For a nodal array the projection is the identity.  For a callable the
     right-hand side is assembled with a degree-4 triangle rule; the
     gradient is taken from ``grad_v(x, y) -> (gx, gy)`` when given, else by
-    central finite differences.
+    central finite differences.  The solve meets the relative ``rel_tol``.
     """
     if not callable(v):
         return interp(mesh, v)
@@ -272,7 +273,7 @@ def project_Rh(mesh, v, grad_v=None) -> np.ndarray:
     # by the size rule: one LU up to the bound, and above it CG
     # preconditioned by (D + S)^{-1}, a few iterations (linsolve table)
     solver = linsolve.SPDSolver(mesh.A, precond=lambda: tensor_inverse(mesh, 1.0))
-    return linsolve.solve_spd(solver, rhs).x
+    return linsolve.solve_spd(solver, rhs, rel_tol).x
 
 
 def grad_p1(mesh, u) -> np.ndarray:

@@ -60,12 +60,14 @@ whose columns are ordered by minimum degree on A^T + A; that factor is
 nearly exact, so BiCGStab converges in about one iteration.  The order
 reads the sparsity pattern alone (George & Liu, SIAM Rev. 31(1), 1989),
 and SuperLU's ILU takes any column order (Li & Shao, ACM TOMS 37(4),
-2011).  So for the u-matrices of a ``Workspace``, which all have the
-mesh's P1 pattern, a ``FillOrder`` takes the order once, at set-up, and
-each ``OrderedMatrix`` is gathered straight into it and factored in its
-natural order: the same fill, entries that agree to rounding, and no
-ordering, sum or CSC conversion per factor.  Building the factor from the
-assembled convection matrix (one BLAS thread, a u-matrix of ``useps``/
+2011).  So ``solve_general`` takes a ``FillOrder``, the order of one
+pattern taken once, and a matrix on that pattern, which it gathers
+straight into the order and factors in its natural order: the same fill,
+entries that agree to rounding, and no ordering, sum or CSC conversion
+per factor.  A ``Workspace`` of ``uv``, ``useps`` or ``us0`` takes the
+order at set-up from the mass matrix, whose P1 pattern every u-matrix
+``A_u + C(w)`` shares.  Building the factor from the assembled
+convection matrix (one BLAS thread, a u-matrix of ``useps``/
 ``uv`` one step into the gauss run, medians of interleaved calls; the
 order is a one-off cost of set-up):
 
@@ -74,8 +76,8 @@ order is a one-off cost of set-up):
     1681 (40)     5.57-5.68 ms              4.64-4.74 ms  1.7-2.5 ms
     25921 (160)   88-90 ms                  73-79 ms      23-25 ms
 
-If SuperLU cannot factor the matrix, BiCGStab runs with the Jacobi
-preconditioner instead.
+If SuperLU cannot factor the ordered matrix, ``FillOrder.ilu`` gives
+BiCGStab the Jacobi preconditioner instead.
 
 The two Krylov loops live in this module instead of calling scipy's
 ``cg``/``bicgstab``: the systems are small and solved thousands of times
@@ -93,7 +95,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,7 +105,6 @@ __all__ = [
     "SolverError",
     "SPDSolver",
     "FillOrder",
-    "OrderedMatrix",
     "solve_spd",
     "solve_general",
 ]
@@ -274,9 +274,15 @@ class FillOrder:
 
     def ilu(self, A):
         """The ILU solve r -> P r of A, a CSR matrix on the pattern (its
-        ``data`` in the pattern's order), factored in this order."""
+        ``data`` in the pattern's order), factored in this order, or the
+        Jacobi solve of A if SuperLU cannot factor it."""
         ordered = sp.csc_matrix((A.data[self.gather], self.indices, self.indptr), shape=A.shape)
-        factor = _superlu(spla.spilu, ordered, permc_spec="NATURAL", **_ILU)
+        try:
+            factor = _superlu(spla.spilu, ordered, permc_spec="NATURAL", **_ILU)
+        except RuntimeError:
+            # Jacobi is not enough for the convection-dominated steps (strong
+            # skew part makes BiCGStab itself diverge even at condition numbers ~100)
+            return _jacobi_solve(A)
         perm = self.perm
 
         def solve(r):
@@ -285,14 +291,6 @@ class FillOrder:
             return x
 
         return solve
-
-
-class OrderedMatrix(NamedTuple):
-    """A CSR matrix ``A`` on the pattern of ``order``, which ``solve_general``
-    factors in that order instead of ordering it afresh."""
-
-    A: sp.csr_matrix
-    order: FillOrder
 
 
 class SPDSolver:
@@ -346,29 +344,15 @@ def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
     return SolveResult(x, iters, res)
 
 
-def _ilu(A, order=None):
-    """Preconditioner solve of the u-systems: ILU, in the order ``_superlu``
-    picks for A or in ``order``'s, or Jacobi if SuperLU fails."""
-    # Jacobi is not enough for the convection-dominated steps (strong skew
-    # part makes BiCGStab itself diverge even at condition numbers ~100).
-    try:
-        if order is None:
-            return _superlu(spla.spilu, A, **_ILU).solve
-        return order.ilu(A)
-    except RuntimeError:
-        return _jacobi_solve(A)
-
-
-def solve_general(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
-    """ILU-preconditioned BiCGStab; on breakdown restarts once from the
-    current iterate, then errors out.  ``A`` is a sparse matrix, or an
-    ``OrderedMatrix``, whose ILU takes the order it carries."""
+def solve_general(order, A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
+    """BiCGStab for a CSR matrix ``A`` on the pattern of ``order``, a
+    ``FillOrder``, preconditioned by its ILU in that order; on breakdown
+    restarts once from the current iterate, then errors out."""
     b, maxiter, bnorm = _prepare(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
     atol = rel_tol * bnorm
-    A, order = A if isinstance(A, OrderedMatrix) else (A, None)
-    psolve = _ilu(A, order)
+    psolve = order.ilu(A)
     x, info, iters = _bicgstab(A, b, x0, psolve, atol, maxiter)
     if info != 0:
         x, info, more = _bicgstab(A, b, x, psolve, atol, maxiter)

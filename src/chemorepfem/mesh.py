@@ -87,6 +87,13 @@ class StructuredTriMesh:
             self.areas[:, None, None] * np.einsum("eik,ejk->eij", self.grads, self.grads)
         )
         self.A = self.S + self.M
+        # M's least entry |K|/12 must be normal for SuperLU; NaN fails both tests
+        for x in (self.M.data, np.maximum(abs(self.grads[..., 0]), abs(self.grads[..., 1]))):
+            if not np.all((x >= np.finfo(float).tiny) & (x < np.inf)):
+                raise ValueError(
+                    f"cells of {self.lx / self.nx!r} x {self.ly / self.ny!r} are too small or "
+                    "too large: their mass entries or hat gradients under- or overflow"
+                )
 
     # -- derived geometry ---------------------------------------------------
 

@@ -9,7 +9,6 @@ combination next to a ``manifest.csv`` index.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -78,10 +77,13 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
-        finite_sides = 0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf
-        if self.nx < 1 or self.ny < 1 or not finite_sides:
-            raise ConfigError("mesh parameters must be positive and finite")
+        if self.nx < 1 or self.ny < 1:
+            raise ConfigError(f"cell counts must be >= 1, got nx={self.nx}, ny={self.ny}")
         try:
+            # one cell of the mesh checks the sides and every element's areas
+            # and gradients, and reports their under- or overflow itself
+            with np.errstate(all="ignore"):
+                build_rect_mesh(1, 1, self.lx / self.nx, self.ly / self.ny)
             self.scheme_config()
             get_preset(self.ic)
         except ValueError as exc:

@@ -162,25 +162,6 @@ def us0_diffusion_terms(mesh, u, p):
     return c, g
 
 
-def _free_block_diag(A, free):
-    """``sp.block_diag([A, A], format="csr")[free, :][:, free]`` for a CSR
-    matrix ``A`` with sorted indices and sorted stacked DOFs ``free``, with
-    the same arrays, read off A's: the kept entries keep their order, which
-    is row by row, and within a row by column."""
-    n = A.shape[0]
-    new = np.full(2 * n, -1)
-    new[free] = np.arange(free.size)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    rows = new[np.concatenate([rows, rows + n])]
-    cols = new[np.concatenate([A.indices, A.indices + n])]
-    keep = (rows >= 0) & (cols >= 0)
-    indptr = np.zeros(free.size + 1, dtype=A.indptr.dtype)
-    np.cumsum(np.bincount(rows[keep], minlength=free.size), out=indptr[1:])
-    data = np.concatenate([A.data, A.data])[keep]
-    indices = cols[keep].astype(A.indices.dtype)
-    return sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
-
-
 def _push(h, m, new, old):
     """Write ``new - old`` as the newest row of the history ``h``, whose
     first ``m`` rows are in use, oldest first; a full history shifts its
@@ -248,7 +229,8 @@ class Workspace:
             # kept on the P1 pattern of S and M, zeros included, which every
             # convection matrix shares (1/k as scipy's M / k takes it): each
             # iterate adds its convection to the data and factors the sum in
-            # one order, taken here from M, which is SPD and stores the pattern
+            # one order, taken here from M, which is SPD, stores the pattern
+            # and stays finite at any dt (A_u overflows as dt -> 0)
             self.A_u = mesh.S.copy()
             if cfg.scheme == "uv":
                 self.A_u.data += mesh.M.data * (1.0 / k)
@@ -267,7 +249,7 @@ class Workspace:
             # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
             # x-y coupling is a boundary term, each entry at a clamped DOF
             free = self.sigma_free = np.flatnonzero(~fem.sigma_fixed_mask(mesh))
-            self.A_sig_red = _free_block_diag(self.A_v, free)
+            self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
             self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
 
     # -- norms and changes ----------------------------------------------------
@@ -299,8 +281,7 @@ class Workspace:
             rhs = rhs + mesh.S @ ul - fem.weighted_gradient_load(mesh, c, g) / (p - 1.0)
         # A_u + C(w), in place on the pattern
         conv.data += self.A_u.data
-        u_matrix = linsolve.OrderedMatrix(conv, self.u_order)
-        r = linsolve.solve_general(u_matrix, rhs, cfg.linear_tol, x0=ul)
+        r = linsolve.solve_general(self.u_order, conv, rhs, cfg.linear_tol, x0=ul)
         return r.x, r.iterations
 
     def _solve_v(self, v_load, u, x0):
@@ -440,8 +421,8 @@ def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0=None) -> SchemeState:
     if np.min(u0n) < 0 or np.min(v0n) < 0:
         raise ValueError("initial data must be nonnegative at the mesh nodes")
     u_h = fem.project_Qh(mesh, u0n)
-    v_h = fem.project_Rh(mesh, v0, grad_v0)
+    v_h = fem.project_Rh(mesh, v0, grad_v0, cfg.linear_tol)
     sigma = None
     if cfg.uses_sigma:
-        sigma = fem.project_Qh_vec(mesh, fem.grad_p1(mesh, v_h))
+        sigma = fem.project_Qh_vec(mesh, fem.grad_p1(mesh, v_h), cfg.linear_tol)
     return SchemeState(u_h, v_h, sigma, 0, 0.0)

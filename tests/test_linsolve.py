@@ -5,7 +5,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chemorepfem import SchemeConfig, SolverError, solve_general, solve_spd
+from chemorepfem import SchemeConfig, SolverError, linsolve, solve_spd
+
+
+def solve_ordered(A, b, rel_tol=1e-12, x0=None):
+    """``solve_general`` of A in the fill order of A's own pattern."""
+    return linsolve.solve_general(linsolve.FillOrder(A), A, b, rel_tol, x0)
 
 
 def test_config_validation():
@@ -19,7 +24,7 @@ def test_identity_systems():
     b = np.array([3.0, -1.0, 2.0])
     eye = sp.identity(3, format="csr")
     assert solve_spd(eye, b).x == pytest.approx(b, rel=1e-12)
-    assert solve_general(eye, b).x == pytest.approx(b, rel=1e-12)
+    assert solve_ordered(eye, b).x == pytest.approx(b, rel=1e-12)
 
 
 def test_small_spd_reference_solution():
@@ -30,7 +35,7 @@ def test_small_spd_reference_solution():
 
 def test_small_triangular_reference_solution():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    res = solve_general(a, np.array([3.0, 2.0]))
+    res = solve_ordered(a, np.array([3.0, 2.0]))
     assert res.x == pytest.approx([1.0, 1.0], rel=1e-10)
 
 
@@ -50,7 +55,7 @@ def test_residual_contract_and_reporting():
     q = rng.normal(size=(n, n))
     a = sp.csr_matrix(q @ q.T + n * np.eye(n))
     b = rng.normal(size=n)
-    for solve in (solve_spd, solve_general):
+    for solve in (solve_spd, solve_ordered):
         res = solve(a, b, 1e-12)
         recomputed = np.linalg.norm(b - a @ res.x)
         assert recomputed <= 1e-12 * np.linalg.norm(b)
@@ -64,7 +69,7 @@ def test_spd_and_general_agree_on_spd_input():
     a = sp.csr_matrix(q @ q.T + n * np.eye(n))
     b = rng.normal(size=n)
     xs = solve_spd(a, b, 1e-13).x
-    xg = solve_general(a, b, 1e-13).x
+    xg = solve_ordered(a, b, 1e-13).x
     assert xs == pytest.approx(xg, abs=1e-9 * np.linalg.norm(xs))
 
 
@@ -77,8 +82,8 @@ def test_determinism():
     r1 = solve_spd(a, b)
     r2 = solve_spd(a, b)
     assert np.array_equal(r1.x, r2.x) and r1.iterations == r2.iterations
-    g1 = solve_general(a, b)
-    g2 = solve_general(a, b)
+    g1 = solve_ordered(a, b)
+    g2 = solve_ordered(a, b)
     assert np.array_equal(g1.x, g2.x)
 
 
@@ -102,18 +107,19 @@ def test_nonconvergence_raises_with_residual():
     assert exc.value.iterations == 10 * n
 
     with pytest.raises(SolverError):
-        solve_general(a, b, 1e-100)
+        solve_ordered(a, b, 1e-100)
 
 
 def test_general_solve_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
-    monkeypatch.setattr(spla, "spilu", failing_spilu)
     rng = np.random.default_rng(5)
     n = 40
     # diagonally dominant with a skew part, as the u-equation
     q = rng.normal(size=(n, n))
     a = sp.csr_matrix(q - q.T + 4.0 * n * np.eye(n))
     b = rng.normal(size=n)
-    res = solve_general(a, b, 1e-12)
+    order = linsolve.FillOrder(a)  # taken before the factor fails
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    res = linsolve.solve_general(order, a, b, 1e-12)
     assert np.linalg.norm(b - a @ res.x) <= 1e-12 * np.linalg.norm(b)
     assert res.iterations >= 1
 
@@ -128,7 +134,7 @@ def test_general_solve_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from chemorepfem import build_rect_mesh, fem, linsolve  # noqa: E402
+from chemorepfem import build_rect_mesh, fem  # noqa: E402
 from chemorepfem.presets import get_preset  # noqa: E402
 from chemorepfem.schemes import Workspace, init_state  # noqa: E402
 
@@ -212,7 +218,7 @@ def test_cg_kernel_matches_scipy(name, warm):
 def test_bicgstab_kernel_matches_scipy(name, warm):
     A = {**SPD, **GENERAL}[name]
     b, x0 = _rhs_and_start(A, warm, seed=len(name))
-    _, info, iters = check_bicgstab(A, b, x0, linsolve._ilu(A))
+    _, info, iters = check_bicgstab(A, b, x0, linsolve.FillOrder(A).ilu(A))
     assert info == 0
     dinv = linsolve._jacobi(A)
     check_bicgstab(A, b, x0, lambda r: dinv * r)
@@ -271,9 +277,10 @@ def test_general_solve_matches_scipy_wrapper_and_keeps_x0(name):
     A = GENERAL[name]
     b, x0 = _rhs_and_start(A, True, seed=8)
     kept = x0.copy()
-    res = solve_general(A, b, 1e-12, x0=x0)
+    order = linsolve.FillOrder(A)
+    res = linsolve.solve_general(order, A, b, 1e-12, x0=x0)
     assert_bitwise(x0, kept)
-    M = spla.LinearOperator(A.shape, linsolve._ilu(A))
+    M = spla.LinearOperator(A.shape, order.ilu(A))
     x, info, iters, r = scipy_solve_general(A, b, 1e-12, M, x0)
     assert info == 0
     assert_bitwise(res.x, x)
@@ -299,20 +306,23 @@ def test_exhausted_solves_raise_scipy_residual(monkeypatch):
     assert info == iters == cap
     assert (exc.value.residual, exc.value.iterations) == (r, iters)
 
-    # Jacobi preconditioning, as when SuperLU cannot factor the matrix
+    # Jacobi preconditioning, as when SuperLU cannot factor the matrix; the
+    # order is taken before, from the mass matrix on the same pattern
+    order = linsolve.FillOrder(mesh.M)
     monkeypatch.setattr(spla, "spilu", failing_spilu)
     with pytest.raises(SolverError) as exc:
-        solve_general(A, b, 1e-12)
+        linsolve.solve_general(order, A, b, 1e-12)
     _, info, iters, r = scipy_solve_general(A, b, 1e-12, sp.diags(linsolve._jacobi(A)))
     assert (info, iters) == (cap, 2 * cap)
     assert (exc.value.residual, exc.value.iterations) == (r, iters)
 
 
 def test_jacobi_fallback_matches_scipy_wrapper(monkeypatch):
-    monkeypatch.setattr(spla, "spilu", failing_spilu)
     A = GENERAL["uv_u"]
     b, x0 = _rhs_and_start(A, True, seed=10)
-    res = solve_general(A, b, 1e-12, x0=x0)
+    order = linsolve.FillOrder(A)
+    monkeypatch.setattr(spla, "spilu", failing_spilu)
+    res = linsolve.solve_general(order, A, b, 1e-12, x0=x0)
     x, info, iters, r = scipy_solve_general(A, b, 1e-12, sp.diags(linsolve._jacobi(A)), x0)
     assert info == 0 and iters > 1
     assert_bitwise(res.x, x)
@@ -344,7 +354,8 @@ def test_kernels_match_scipy_on_dominant_matrices(seed, n, density, warm, maxite
     x0 = rng.normal(size=n) if warm else None
     check_cg(A, b, x0, maxiter=maxiter)
     A, _ = _dominant(seed, n, density, symmetric=False)
-    check_bicgstab(A, b, x0, linsolve._ilu(A), maxiter=maxiter)
+    ilu = linsolve._superlu(spla.spilu, A, **linsolve._ILU)
+    check_bicgstab(A, b, x0, ilu.solve, maxiter=maxiter)
     dinv = linsolve._jacobi(A)
     check_bicgstab(A, b, x0, lambda r: dinv * r, maxiter=maxiter)
 
@@ -569,7 +580,9 @@ def test_ordered_factor_has_the_per_call_fill(scheme, eps, nx, monkeypatch):
     ws, state = _ilu_leg(scheme, eps, nx, dt=1e-4)
     A = _u_matrix(ws, _convection(ws, state))
     calls = _spy_spilu(monkeypatch)
-    fresh, ordered = linsolve._ilu(A), linsolve._ilu(A, ws.u_order)
+    # the per-call reference orders A afresh
+    fresh = linsolve._superlu(spla.spilu, A, **linsolve._ILU).solve
+    ordered = ws.u_order.ilu(A)
     (_, _, f_fresh), (spec, _, f_ordered) = calls
     assert spec == "NATURAL" and f_ordered.nnz == f_fresh.nnz
     r = np.random.default_rng(nx).normal(size=A.shape[0])
@@ -604,6 +617,6 @@ def test_ordered_path_falls_back_to_jacobi_when_ilu_fails(monkeypatch):
     A = _u_matrix(ws, _convection(ws, state))
     monkeypatch.setattr(spla, "spilu", failing_spilu)
     r = np.random.default_rng(6).normal(size=A.shape[0])
-    assert_bitwise(linsolve._ilu(A, ws.u_order)(r), linsolve._jacobi(A) * r)
+    assert_bitwise(ws.u_order.ilu(A)(r), linsolve._jacobi(A) * r)
     new, rep = ws.step(state)
     assert rep.iterations >= 1 and np.all(np.isfinite(new.u))

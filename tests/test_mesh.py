@@ -32,8 +32,10 @@ def test_counts_and_areas():
 def test_invalid_arguments_rejected():
     bad = [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]
     bad += [(2, 2, float("inf"), 1.0), (2, 2, 1.0, float("inf"))]
+    # areas that underflow to 0 or overflow, mass entries that underflow
+    bad += [(2, 2, 1e-170, 1e-170), (20, 20, 1e200, 1e200), (1, 1, 1e-155, 1e-155)]
     for args in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
             build_rect_mesh(*args)
     with pytest.raises(ValueError):
         build_rect_mesh(1.5, 1, 1.0, 1.0)

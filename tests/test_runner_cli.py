@@ -3,6 +3,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -59,6 +61,8 @@ def test_config_validation_errors():
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# sides whose cells, at up to 1e9 of them per side, have finite normal areas
+_SIDE = st.floats(min_value=1e-100, max_value=1e100)
 _UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 _COUNT = st.integers(1, 10**9)
 # a value survives 'key = value' parsing: no comment sign, no outer blanks
@@ -80,8 +84,8 @@ def valid_configs(draw):
         steps=draw(_COUNT),
         nx=draw(_COUNT),
         ny=draw(_COUNT),
-        lx=draw(_POSITIVE),
-        ly=draw(_POSITIVE),
+        lx=draw(_SIDE),
+        ly=draw(_SIDE),
         ic=draw(st.sampled_from(["gauss", "cosine"]) | constant),
         picard_tol=draw(_POSITIVE),
         picard_max=draw(_COUNT),
@@ -422,12 +426,14 @@ def test_picard_failure_recorded(tmp_path):
 
 
 def test_solver_failure_is_a_recorded_run_failure(tmp_path, capsys):
-    # a residual contract no Krylov solve can meet: CG fails in step 1
+    # a residual contract no Krylov solve can meet: CG fails in step 1; the
+    # set-up solves to it too, but v0 = 0 gives its H1 projection a zero load
     out = tmp_path / "solver"
     code = main(
         [
             "run", "--scheme", "uveps", "--eps", "1e-3", "--linear-tol", "1e-30",
-            "--steps", "2", "--nx", "10", "--ny", "10", "--out", str(out),
+            "--ic", "constant:2:0", "--steps", "2", "--nx", "10", "--ny", "10",
+            "--out", str(out),
         ]
     )
     assert code == 2
@@ -559,6 +565,33 @@ def test_cli_rejects_bad_settings(tmp_path, capsys, monkeypatch, arg):
     assert code == 3
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("side,n", [("1e-170", "2"), ("1e200", "20")])
+def test_cli_rejects_sides_whose_cells_under_or_overflow(tmp_path, side, n):
+    # areas that underflow to 0 made SuperLU raise, and infinite ones hung it;
+    # a hang in C code cannot be interrupted here, so the run gets a process
+    out = tmp_path / "out"
+    argv = ["run", "--lx", side, "--ly", side, "--nx", n, "--ny", n, "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(runner.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemorepfem.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("configuration error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_set_up_solves_to_the_run_linear_tol(tmp_path, capsys):
+    # on [0,2] x [0,0.2] the gauss bump lies mostly outside the strip, and its
+    # H1 projection cannot meet a 1e-12 contract; at the run's own 1e-3 it can
+    for scheme in ("uv", "useps"):
+        out = tmp_path / scheme
+        argv = ["run", "--scheme", scheme, "--eps", "1e-3", "--ly", "0.2"]
+        argv += ["--linear-tol", "1e-3", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert not (out / "FAILED").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "dump"])
