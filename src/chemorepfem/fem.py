@@ -9,6 +9,13 @@ Quadrature policy: products of piecewise-constant data with hat gradients
 are integrated exactly; P1 x P1 products use the exact consistent mass;
 nodal nonlinearities combined with a test function use the three-vertex
 rule, i.e. the lumped load ``mesh.D * values``.
+
+Element kernels: every even element is a translate of element 0 and every
+odd one of element 1, so the element-local maps that change with each
+iterate (``grad_p1``, the gradient and mixed loads, ``convection_u``)
+are one small matrix per shape, read off elements 0 and 1 and applied as
+one matrix product over the elements of that shape.  ``M``, ``S`` and
+``D`` are built once from the per-element geometry instead.
 """
 
 from __future__ import annotations
@@ -52,6 +59,18 @@ _QP4 = np.array(
         [1 - 2 * _b, _b, _b],
     ]
 )
+
+
+def _per_shape(values, kernels):
+    """Per-element rows times the (k x m) matrix of the element's shape:
+    (..., n_elements, k) by (2, k, m) -> (..., n_elements, m)."""
+    *lead, n, k = values.shape
+    # elements alternate lower/upper, so [..., :, s, :] holds those of shape s
+    values = values.reshape(*lead, n // 2, 2, k)
+    out = np.empty((*lead, n // 2, 2, kernels.shape[-1]))
+    for s in (0, 1):
+        np.matmul(values[..., s, :], kernels[s], out=out[..., s, :])
+    return out.reshape(*lead, n, -1)
 
 
 def _scatter_vector(mesh, local):
@@ -112,13 +131,10 @@ def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
     mass under testing by 1.
 
     The local blocks are linear in the element's values of ``w`` with
-    coefficients that depend on its shape alone.  Every even element is a
-    translate of element 0 and every odd one of element 1, so each kind is
-    one small matrix per shape, read off those two elements: (2 x 3) for
-    "element", row i of a block being |K|/3 w . grad phi_i in every column,
-    and (6 x 9) for "nodal", entry (i, j) taking |K| (grad phi_i)_d
-    (1 + delta_jb)/12 of w_d at vertex b.  Each is applied as one matrix
-    product over the elements of its shape.
+    coefficients that depend on its shape alone, so each kind is one small
+    matrix per shape: (2 x 9) for "element", row i of a block being
+    |K|/3 w . grad phi_i in every column, and (6 x 9) for "nodal", entry
+    (i, j) taking |K| (grad phi_i)_d (1 + delta_jb)/12 of w_d at vertex b.
     """
     w = np.asarray(w, dtype=float)
     areas, grads = mesh.areas[:2], mesh.grads[:2]
@@ -135,12 +151,7 @@ def convection_u(mesh, w, kind: str) -> sp.csr_matrix:
         values = w[mesh.elements]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    half = mesh.n_elements // 2
-    # elements alternate lower/upper, so [:, s] holds the elements of shape s
-    values = values.reshape(half, 2, -1)
-    local = np.empty((half, 2, 9))
-    for s in range(2):
-        np.matmul(values[:, s], kernels[s].reshape(-1, 9), out=local[:, s])
+    local = _per_shape(values.reshape(mesh.n_elements, -1), kernels.reshape(2, -1, 9))
     return mesh.assemble(local.reshape(-1, 3, 3))
 
 
@@ -282,13 +293,18 @@ def grad_p1(mesh, u) -> np.ndarray:
     Leading batch axes are allowed: (..., n_nodes) -> (..., E, 2).
     """
     u = np.asarray(u, dtype=float)
-    return np.einsum("...ei,eid->...ed", u[..., mesh.elements], mesh.grads)
+    return _per_shape(u[..., mesh.elements], mesh.grads[:2])
 
 
 def gradient_load(mesh, w_elem) -> np.ndarray:
-    """Load vector l[i] = sum_K |K| * w_K . grad phi_i for constant w_K."""
+    """Load vector l[i] = sum_K |K| * w_K . grad phi_i for constant w_K.
+
+    The local load is w_K times the (2 x 3) matrix |K| (grad phi_i)_d of
+    the element's shape.
+    """
     w = np.asarray(w_elem, dtype=float)
-    return _scatter_vector(mesh, mesh.areas[:, None] * np.einsum("ed,eid->ei", w, mesh.grads))
+    kernels = mesh.areas[:2, None, None] * mesh.grads[:2].transpose(0, 2, 1)
+    return _scatter_vector(mesh, _per_shape(w, kernels))
 
 
 def weighted_gradient_load(mesh, c_elem, w_elem) -> np.ndarray:
@@ -305,11 +321,11 @@ def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
     """Stacked load l with l[(c,i)] = integral of u * g_K[c] * phi_i.
 
     ``u`` is nodal P1 and ``g_elem`` per-element constant; the product is
-    quadratic per element and integrated exactly.
+    quadratic per element and integrated exactly, as g_K[c] times the local
+    mass product M_K u, M_K being the (3 x 3) matrix of the element's shape.
     """
     u = np.asarray(u, dtype=float)
     g = np.asarray(g_elem, dtype=float)
-    uloc = u[mesh.elements]
-    m = mesh.areas[:, None] / 12.0 * (uloc + uloc.sum(axis=1, keepdims=True))  # M_K u
+    m = _per_shape(u[mesh.elements], mesh.areas[:2, None, None] * _MASS_BASE)
     return np.concatenate([_scatter_vector(mesh, g[:, c : c + 1] * m) for c in range(2)])
 

@@ -27,23 +27,37 @@ EQUAL_VALUES_TOL = 1e-12
 
 def _leg_values(mesh, u, fp, num, scale, lim):
     """Leg entries scale * (num_i - num_0) / (fp_i - fp_0), or lim_0 where
-    u_i and u_0 coincide, from per-node values gathered per element.
+    u_i and u_0 coincide, from per-node values.
 
     Column 0 is the x-leg a0->a2, column 1 the y-leg a0->a1, as the mesh
     lays out every element.  The potential acts node by node, so one
-    evaluation per node, gathered, gives what evaluating it at both ends of
-    every leg gives.  Batch axes: (..., n_nodes) -> (..., n_elements, 2).
+    evaluation per node gives what evaluating it at both ends of every leg
+    gives.  The leg ends are read as slices of the (ny+1, nx+1) node grid:
+    in cell (i, j) the lower element has a0 at the lower-right corner and
+    the upper one at the upper-left, and their x- and y-legs end at the
+    lower-left and upper-right corners, in opposite order.  Batch axes:
+    (..., n_nodes) -> (..., n_elements, 2).
     """
-    el = mesh.elements
-    u0, fp0, num0, lim0 = (a[..., el[:, 0]] for a in (u, fp, num, lim))
-    legs = []
-    for nodes in (el[:, 2], el[:, 1]):
-        du = u[..., nodes] - u0
-        use_quot = np.abs(du) > EQUAL_VALUES_TOL * np.maximum(1.0, np.abs(u0))
-        # f_prime is strictly increasing, so the denominator only vanishes with du
-        safe = np.where(use_quot, fp[..., nodes] - fp0, 1.0)
-        legs.append(np.where(use_quot, scale * (num[..., nodes] - num0) / safe, lim0))
-    return np.stack(legs, axis=-1)
+    ny, nx = mesh.ny, mesh.nx
+
+    def corners(a):  # lower-right, upper-left, lower-left, upper-right
+        g = a.reshape(a.shape[:-1] + (ny + 1, nx + 1))
+        return g[..., :-1, 1:], g[..., 1:, :-1], g[..., :-1, :-1], g[..., 1:, 1:]
+
+    us, fps, nums, lims = (corners(a) for a in (u, fp, num, lim))
+    # cell j*nx + i holds elements 2(j*nx + i) + shape
+    out = np.empty(u.shape[:-1] + (ny, nx, 2, 2))
+    for shape, ends in ((0, (2, 3)), (1, (3, 2))):
+        u0, fp0, num0 = us[shape], fps[shape], nums[shape]
+        tol = EQUAL_VALUES_TOL * np.maximum(1.0, np.abs(u0))
+        for leg, k in enumerate(ends):
+            use_quot = np.abs(us[k] - u0) > tol
+            # f_prime is strictly increasing, so the denominator only vanishes with du
+            safe = np.where(use_quot, fps[k] - fp0, 1.0)
+            out[..., shape, leg] = np.where(
+                use_quot, scale * (nums[k] - num0) / safe, lims[shape]
+            )
+    return out.reshape(u.shape[:-1] + (mesh.n_elements, 2))
 
 
 def lambda1(pot, mesh, u) -> np.ndarray:

@@ -254,8 +254,11 @@ class FillOrder:
     order (rows and columns alike) and taken in its natural order has the
     same fill and the same entries, up to rounding, as ``_superlu``'s own.
 
-    ``pattern`` is a CSR matrix that SuperLU can factor; its values serve
-    only the one factor the order is read from.  ``perm[j]`` is the unknown
+    ``pattern`` is an SPD CSR matrix, such as the mesh's consistent mass
+    ``M`` that the ``Workspace`` passes; its values serve only the one
+    factor the order is read from.  That factor keeps little more than the
+    diagonal, and on a nonsymmetric matrix SuperLU can find it exactly
+    singular even where the full factor exists.  ``perm[j]`` is the unknown
     at position j of the order, and ``gather`` the index, in the pattern's
     ``data``, of each entry of the permuted matrix in CSC order."""
 

@@ -79,15 +79,25 @@ class RunConfig:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError(f"cell counts must be >= 1, got nx={self.nx}, ny={self.ny}")
+        # a patch of up to 2 x 2 cells holds a node in as many elements as
+        # any node of the mesh: it checks the sides and every element's
+        # areas and gradients, and reports their under- or overflow itself
+        nx, ny = min(self.nx, 2), min(self.ny, 2)
         try:
-            # one cell of the mesh checks the sides and every element's areas
-            # and gradients, and reports their under- or overflow itself
             with np.errstate(all="ignore"):
-                build_rect_mesh(1, 1, self.lx / self.nx, self.ly / self.ny)
+                patch = build_rect_mesh(nx, ny, nx * (self.lx / self.nx), ny * (self.ly / self.ny))
             self.scheme_config()
             get_preset(self.ic)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the Workspace scales the masses by 1 / dt, as scipy's M / k does
+        with np.errstate(over="ignore"):
+            scaled = np.concatenate([patch.M.data, patch.D]) * (1.0 / self.dt)
+        if not np.all(np.isfinite(scaled)):
+            raise ConfigError(
+                f"time step {self.dt!r} is too small for cells of {self.lx / self.nx!r} x "
+                f"{self.ly / self.ny!r}: their mass over the time step overflows"
+            )
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(SchemeConfig)})

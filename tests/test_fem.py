@@ -424,20 +424,65 @@ def test_scatter_plan_matches_coo_assembly(nx, ny):
 
 
 def test_loads_match_add_at_reference():
+    # the local blocks as the kernels form them, one matrix per element
+    # shape; the scatter into nodes must equal np.add.at's bit for bit
     m = build_rect_mesh(5, 3, 2.0, 3.0)
     rng = np.random.default_rng(47)
     w = rng.normal(size=(m.n_elements, 2))
-    ref = np.zeros(m.n_nodes)
-    np.add.at(ref, m.elements, m.areas[:, None] * np.einsum("ed,eid->ei", w, m.grads))
-    assert np.array_equal(fem.gradient_load(m, w), ref)
-
     u = rng.normal(size=m.n_nodes)
     uloc = u[m.elements]
-    mu = m.areas[:, None] / 12.0 * (uloc + uloc.sum(axis=1, keepdims=True))
+    grad_local = np.empty((m.n_elements, 3))
+    mass_local = np.empty((m.n_elements, 3))
+    for s in range(2):
+        grad_local[s::2] = w[s::2] @ (m.areas[s] * m.grads[s].T)
+        mass_local[s::2] = uloc[s::2] @ (m.areas[s] * fem._MASS_BASE)
+    ref = np.zeros(m.n_nodes)
+    np.add.at(ref, m.elements, grad_local)
+    assert np.array_equal(fem.gradient_load(m, w), ref)
+
     ref = np.zeros(2 * m.n_nodes)
-    np.add.at(ref, m.elements, w[:, 0:1] * mu)
-    np.add.at(ref, m.elements + m.n_nodes, w[:, 1:2] * mu)
+    np.add.at(ref, m.elements, w[:, 0:1] * mass_local)
+    np.add.at(ref, m.elements + m.n_nodes, w[:, 1:2] * mass_local)
     assert np.array_equal(fem.mixed_vector_load(m, u, w), ref)
+
+
+@pytest.mark.parametrize("nx,ny,lx,ly", [(7, 4, 3.0, 0.5), (1, 6, 0.3, 2.0), (160, 3, 2.0, 2.0)])
+def test_shape_kernels_match_per_element_products(nx, ny, lx, ly):
+    """grad_p1, gradient_load, weighted_gradient_load and mixed_vector_load
+    against the per-element products with each element's own geometry.
+
+    Bound, fixed before measuring: every entry within 1e-12 times the same
+    sum taken over absolute values.  The kernels use the geometry of
+    elements 0 and 1, which every other element of its shape matches within
+    1e-12 relative (tests/test_mesh.py), and sum in another order."""
+    m = build_rect_mesh(nx, ny, lx, ly)
+    rng = np.random.default_rng(53)
+    el, areas, grads = m.elements, m.areas, m.grads
+    mass = areas[:, None, None] * fem._MASS_BASE
+
+    def grad(u, g):
+        return np.einsum("...ei,eid->...ed", u[..., el], g)
+
+    def load(w, g):
+        return fem._scatter_vector(m, areas[:, None] * np.einsum("ed,eid->ei", w, g))
+
+    def mixed(u, w):
+        mu = np.einsum("eij,ej->ei", mass, u[el])
+        return np.concatenate([fem._scatter_vector(m, w[:, k : k + 1] * mu) for k in range(2)])
+
+    def check(got, want, scale):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    u = rng.normal(size=(2, 3, m.n_nodes))
+    check(fem.grad_p1(m, u), grad(u, grads), grad(np.abs(u), np.abs(grads)))
+    w = rng.normal(size=(m.n_elements, 2))
+    check(fem.gradient_load(m, w), load(w, grads), load(np.abs(w), np.abs(grads)))
+    c = rng.normal(size=m.n_elements)
+    cw = c[:, None] * w
+    check(fem.weighted_gradient_load(m, c, w), load(cw, grads), load(np.abs(cw), np.abs(grads)))
+    u = u[0, 0]
+    check(fem.mixed_vector_load(m, u, w), mixed(u, w), mixed(np.abs(u), np.abs(w)))
 
 
 def test_workspace_and_mesh_free_without_the_cycle_collector():

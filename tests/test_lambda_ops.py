@@ -186,23 +186,32 @@ def reference_lambda2(pot, mesh, u):
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_operators_equal_per_element_reference_bitwise(p, eps):
     pot = RegularizedPotential(p, eps)
-    mesh = build_rect_mesh(7, 5, 2.0, 1.0)
     rng = np.random.default_rng(int(100 * p) + int(-np.log10(eps)))
-    fields = random_fields(mesh, pot, 24, seed=int(10 * p)).reshape(2, 3, 4, mesh.n_nodes)
-    # every branch of the potential, and legs whose ends coincide exactly
-    # or within EQUAL_VALUES_TOL, where the limit value is taken
-    branch_points = np.array([-pot.eps, 0.0, 0.5 * pot.eps, pot.eps, 1.0, pot.s_hi, 2 * pot.s_hi])
-    snapped = rng.choice(branch_points, size=(3, mesh.n_nodes))
-    near = snapped * (1.0 + rng.choice([0.0, 0.5e-12, 2e-12], size=snapped.shape))
-    for u in (fields, fields[0, 1, 2], snapped, near):
-        for op, ref in ((lambda1, reference_lambda1), (lambda2, reference_lambda2)):
-            got, want = op(pot, mesh, u), ref(pot, mesh, u)
-            assert got.shape == u.shape[:-1] + (mesh.n_elements, 2)
-            assert got.tobytes() == want.tobytes()
+    # the leg ends are read as slices of the node grid: one-cell-wide strips
+    # in either direction and cells far from square are its edge cases
+    shapes = [(7, 5, 2.0, 1.0), (1, 6, 0.3, 2.0), (8, 1, 5.0, 0.01), (1, 1, 1.0, 3.0)]
+    seen_values, seen_equal = [], []
+    for nx, ny, lx, ly in shapes:
+        mesh = build_rect_mesh(nx, ny, lx, ly)
+        fields = random_fields(mesh, pot, 24, seed=int(10 * p)).reshape(2, 3, 4, mesh.n_nodes)
+        # every branch of the potential, and legs whose ends coincide exactly
+        # or within EQUAL_VALUES_TOL, where the limit value is taken
+        branch_points = np.array(
+            [-pot.eps, 0.0, 0.5 * pot.eps, pot.eps, 1.0, pot.s_hi, 2 * pot.s_hi]
+        )
+        snapped = rng.choice(branch_points, size=(3, mesh.n_nodes))
+        near = snapped * (1.0 + rng.choice([0.0, 0.5e-12, 2e-12], size=snapped.shape))
+        for u in (fields, fields[0, 1, 2], snapped, near):
+            for op, ref in ((lambda1, reference_lambda1), (lambda2, reference_lambda2)):
+                got, want = op(pot, mesh, u), ref(pot, mesh, u)
+                assert got.shape == u.shape[:-1] + (mesh.n_elements, 2)
+                assert got.tobytes() == want.tobytes()
+        seen_values += [fields.ravel(), snapped.ravel()]
+        el = mesh.elements
+        seen_equal.append((snapped[:, el[:, 1:]] == snapped[:, el[:, :1]]).ravel())
     # all three branches and both leg kinds really occur
-    values = np.concatenate([fields.ravel(), snapped.ravel()])
+    values = np.concatenate(seen_values)
     lo, hi = values <= pot.s_lo, values >= pot.s_hi
     assert lo.any() and hi.any() and (~lo & ~hi).any()
-    el = mesh.elements
-    equal = snapped[:, el[:, 1]] == snapped[:, el[:, 0]]
+    equal = np.concatenate(seen_equal)
     assert equal.any() and (~equal).any()

@@ -93,7 +93,7 @@ def test_element_geometry_scaled_legs():
 
 # -- properties over random meshes -------------------------------------------
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chemorepfem import fem  # noqa: E402
@@ -117,16 +117,27 @@ def test_mesh_geometry_properties(m):
     assert m.areas.sum() == pytest.approx(m.lx * m.ly, rel=1e-12)
     scale = np.abs(m.grads).max(axis=1)
     assert np.all(np.abs(m.grads.sum(axis=1)) <= 1e-14 * scale)
-    # even elements are translates of element 0, odd ones of element 1
-    # (convection reads its two kernels off them)
-    for s in range(2):
-        assert np.abs(m.grads[s::2] - m.grads[s]).max() <= 1e-12 * scale.max()
-        assert np.abs(m.areas[s::2] / m.areas[s] - 1.0).max() <= 1e-12
     # the clamp mask, taken from the node numbering, marks x-components on
     # the vertical sides and y-components on the horizontal ones
     x, y = m.nodes[:, 0], m.nodes[:, 1]
     on_v, on_h = (x == 0) | (x == m.lx), (y == 0) | (y == m.ly)
     assert np.array_equal(fem.sigma_fixed_mask(m), np.concatenate([on_v, on_h]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=meshes)
+@example(m=build_rect_mesh(160, 160, 2.0, 2.0))
+@example(m=build_rect_mesh(1, 1, 1.0, 1.0))
+@example(m=build_rect_mesh(1, 9, 0.3, 5.0))
+@example(m=build_rect_mesh(400, 1, 7.0, 1e-3))
+@example(m=build_rect_mesh(3, 250, 1e4, 2.0))
+def test_elements_are_translates_of_elements_0_and_1(m):
+    # fem's element kernels read one matrix per shape off elements 0 and 1
+    # and apply it to every element of that shape
+    scale = np.abs(m.grads).max()
+    for s in range(2):
+        assert np.abs(m.grads[s::2] - m.grads[s]).max() <= 1e-12 * scale
+        assert np.abs(m.areas[s::2] / m.areas[s] - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -63,6 +63,8 @@ def test_config_validation_errors():
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # sides whose cells, at up to 1e9 of them per side, have finite normal areas
 _SIDE = st.floats(min_value=1e-100, max_value=1e100)
+# time steps over which the masses of those cells, at most about 1e200, stay finite
+_DT = st.floats(min_value=1e-100, allow_infinity=False)
 _UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 _COUNT = st.integers(1, 10**9)
 # a value survives 'key = value' parsing: no comment sign, no outer blanks
@@ -80,7 +82,7 @@ def valid_configs(draw):
         scheme=scheme,
         p=draw(st.floats(min_value=1.0, max_value=2.0, exclude_min=True, exclude_max=True)),
         eps=draw(eps),
-        dt=draw(_POSITIVE),
+        dt=draw(_DT),
         steps=draw(_COUNT),
         nx=draw(_COUNT),
         ny=draw(_COUNT),
@@ -580,6 +582,28 @@ def test_cli_rejects_sides_whose_cells_under_or_overflow(tmp_path, side, n):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("configuration error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--dt", "1e-320"],
+        ["--lx", "1e150", "--ly", "1e150", "--nx", "2", "--ny", "2", "--dt", "1e-300"],
+        # M / dt is finite here, but 1 / dt, by which scipy scales M, is not
+        ["--dt", "1e-309"],
+        # finite over one cell; a node in six elements has thrice its mass
+        ["--scheme", "useps", "--eps", "1e-3", "--lx", "4e150", "--ly", "4e150"]
+        + ["--nx", "4", "--ny", "4", "--dt", "3e-9"],
+    ],
+)
+def test_cli_rejects_time_steps_whose_mass_over_dt_overflows(tmp_path, capsys, args):
+    # each ran into a solver-failure with a NaN residual (exit 2)
+    out = tmp_path / "out"
+    code = main(["run", "--steps", "2", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: ") and "overflows" in err
     assert not out.exists()
 
 
