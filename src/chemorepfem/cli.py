@@ -111,9 +111,7 @@ def _cmd_dump(args) -> int:
     if unknown:
         raise runner.ConfigError(f"unknown field(s) {unknown}; choose among u, v, sigma")
     # a path that cannot take the file is found before any step
-    runner._make_dir(os.path.dirname(os.path.abspath(args.vtk_out)))
-    if os.path.isdir(args.vtk_out):
-        raise runner.ConfigError(f"cannot write {args.vtk_out!r}: it is a directory")
+    runner._make_dir(*os.path.split(os.path.abspath(args.vtk_out)))
     ops, state = runner.start(rc)
     for _, state, _ in ops.march(state, 0 if no_steps else rc.steps):
         pass

@@ -250,27 +250,13 @@ def tensor_inverse(mesh, c: float):
     return solve
 
 
-def _fd_gradient(v, delta=1e-6):
-    def grad(x, y):
-        gx = (v(x + delta, y) - v(x - delta, y)) / (2.0 * delta)
-        gy = (v(x, y + delta) - v(x, y - delta)) / (2.0 * delta)
-        return gx, gy
-
-    return grad
-
-
-def project_Rh(mesh, v, grad_v=None, rel_tol: float = 1e-12) -> np.ndarray:
+def project_Rh(mesh, v, grad_v, rel_tol: float = 1e-12) -> np.ndarray:
     """H1 projection: (grad Rv, grad w) + (Rv, w) = (grad v, grad w) + (v, w).
 
-    For a nodal array the projection is the identity.  For a callable the
-    right-hand side is assembled with a degree-4 triangle rule; the
-    gradient is taken from ``grad_v(x, y) -> (gx, gy)`` when given, else by
-    central finite differences.  The solve meets the relative ``rel_tol``.
+    ``v(x, y)`` and its gradient ``grad_v(x, y) -> (gx, gy)`` are callables;
+    the right-hand side is assembled with a degree-4 triangle rule.  The
+    solve meets the relative ``rel_tol``.
     """
-    if not callable(v):
-        return interp(mesh, v)
-    if grad_v is None:
-        grad_v = _fd_gradient(v)
     pts = _QP4 @ mesh.nodes[mesh.elements]  # (E,Q,2)
     x, y = pts[:, :, 0], pts[:, :, 1]
     wq = mesh.areas[:, None] * _QW4[None, :]

@@ -238,8 +238,12 @@ def _superlu(factor, A, permc_spec="MMD_AT_PLUS_A", **options):
     for the P1 pattern.  Minimum degree on A^T + A suits that symmetric
     pattern and leaves less fill than the default COLAMD; with supernodes
     off as well (relax = panel_size = 1) the LUs build in 0.55-0.75 of the
-    time, with the same fill, and the ILUs in about half."""
-    return factor(sp.csc_matrix(A), permc_spec=permc_spec, relax=1, panel_size=1, **options)
+    time, with the same fill, and the ILUs in about half.  A factor that
+    SuperLU finds singular is a ``SolverError``."""
+    try:
+        return factor(sp.csc_matrix(A), permc_spec=permc_spec, relax=1, panel_size=1, **options)
+    except RuntimeError as exc:
+        raise SolverError(f"SuperLU failed: {exc}", np.nan, 0) from exc
 
 
 # the u-matrix ILU: nearly exact, so BiCGStab converges in about one iteration
@@ -282,7 +286,7 @@ class FillOrder:
         ordered = sp.csc_matrix((A.data[self.gather], self.indices, self.indptr), shape=A.shape)
         try:
             factor = _superlu(spla.spilu, ordered, permc_spec="NATURAL", **_ILU)
-        except RuntimeError:
+        except SolverError:
             # Jacobi is not enough for the convection-dominated steps (strong
             # skew part makes BiCGStab itself diverge even at condition numbers ~100)
             return _jacobi_solve(A)

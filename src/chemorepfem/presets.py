@@ -10,7 +10,7 @@ for exactness tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class ICPreset:
     name: str
     u0: Callable
     v0: Callable
-    grad_v0: Optional[Callable] = None
+    grad_v0: Callable  # the gradient of v0, which the H1 projection loads
 
 
 def _gauss():

@@ -109,16 +109,20 @@ _KEY_TYPES = get_type_hints(RunConfig)
 
 def parse_config_file(path) -> dict:
     """Flat 'key = value' format with '#' comments."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            lines = list(fp)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', exc)}") from exc
     values = {}
-    with open(path) as fp:
-        for lineno, raw in enumerate(fp, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 
@@ -160,7 +164,7 @@ def _format_value(val) -> str:
 
 
 def echo_config(path, rc: RunConfig):
-    with open(path, "w") as fp:
+    with open(path, "w", encoding="utf-8") as fp:
         fp.write("# resolved configuration (re-run reproduces series.csv bitwise)\n")
         for f in fields(rc):
             fp.write(f"{f.name} = {_format_value(getattr(rc, f.name))}\n")
@@ -250,24 +254,31 @@ def execute_run(rc: RunConfig) -> RunResult:
     return RunResult(records, state, status, detail, last_step)
 
 
-def _make_dir(path):
-    """Create an output directory; a path that cannot be one is a bad config."""
+def _make_dir(path, *files):
+    """Create an output directory; a path that cannot be one, or a name among
+    ``files`` that a directory in it takes, is a bad config."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}") from exc
+    for taken in (os.path.join(path, name) for name in files):
+        if os.path.isdir(taken):
+            raise ConfigError(f"cannot write {taken!r}: it is a directory")
 
 
 def run(rc: RunConfig) -> RunResult:
     """Execute and serialize one run into its output directory."""
-    _make_dir(rc.out_dir)
+    _make_dir(rc.out_dir, "series.csv", "config.echo", "FAILED")
     result = execute_run(rc)
     write_series(os.path.join(rc.out_dir, "series.csv"), result.records)
     echo_config(os.path.join(rc.out_dir, "config.echo"), rc)
+    failed = os.path.join(rc.out_dir, "FAILED")
     if not result.ok:
-        with open(os.path.join(rc.out_dir, "FAILED"), "w") as fp:
+        with open(failed, "w") as fp:
             fp.write(f"{result.status}: {result.detail}\n")
             fp.write(f"last completed step: {_format_value(result.last_step)}\n")
+    elif os.path.lexists(failed):  # left by an earlier run
+        os.remove(failed)
     return result
 
 

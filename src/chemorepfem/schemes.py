@@ -408,7 +408,7 @@ class Workspace:
         return SchemeState(u_new, w_new, None, step, step * self.cfg.dt)
 
 
-def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0=None) -> SchemeState:
+def init_state(mesh, cfg: SchemeConfig, u0, v0, grad_v0) -> SchemeState:
     """Project initial data: lumped L2 for u, H1 for v, and for the sigma
     schemes grad(v_h) projected in L2 on the whole P1 space one component
     at a time, with the components clamped by the zero normal trace then

@@ -248,10 +248,11 @@ def test_project_Qh_vec(small_mesh):
 
 
 def test_project_Rh(small_mesh):
-    v = fem.project_Rh(small_mesh, lambda x, y: np.full_like(x, 2.0))
+    def zero_gradient(x, y):
+        return np.zeros_like(x), np.zeros_like(x)
+
+    v = fem.project_Rh(small_mesh, lambda x, y: np.full_like(x, 2.0), zero_gradient)
     assert v == pytest.approx(np.full(small_mesh.n_nodes, 2.0), rel=1e-11)
-    nodal = np.linspace(0.0, 1.0, small_mesh.n_nodes)
-    assert np.array_equal(fem.project_Rh(small_mesh, nodal), nodal)
 
 
 def test_project_Rh_reproduces_affine_callables(small_mesh):
@@ -265,18 +266,20 @@ def test_project_Rh_reproduces_affine_callables(small_mesh):
 
     expected = fem.interp(small_mesh, v)
     assert fem.project_Rh(small_mesh, v, grad_v) == pytest.approx(expected, abs=1e-10)
-    # finite-difference gradient path agrees
-    assert fem.project_Rh(small_mesh, v) == pytest.approx(expected, abs=1e-7)
 
 
 def test_project_Rh_converges_under_refinement():
     def v(x, y):
         return np.cos(np.pi * x / 2.0) * np.cos(np.pi * y / 2.0) + 2.0
 
+    def grad_v(x, y):
+        h = np.pi / 2.0
+        return -h * np.sin(h * x) * np.cos(h * y), -h * np.cos(h * x) * np.sin(h * y)
+
     errs = []
     for nx in (4, 8, 16):
         m = build_rect_mesh(nx, nx, 2.0, 2.0)
-        vh = fem.project_Rh(m, v)
+        vh = fem.project_Rh(m, v, grad_v)
         diff = vh - fem.interp(m, v)
         errs.append(fem.l2_norm(m, diff))
     # interpolant-vs-projection gap shrinks under refinement

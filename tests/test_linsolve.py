@@ -317,6 +317,16 @@ def test_exhausted_solves_raise_scipy_residual(monkeypatch):
     assert (exc.value.residual, exc.value.iterations) == (r, iters)
 
 
+def test_a_factor_superlu_finds_singular_is_a_solver_error():
+    # the u-matrix D/k + S of cells thin enough rounds to such a matrix;
+    # SuperLU's own RuntimeError escaped the run as a traceback
+    A = sp.csr_matrix(np.diag([2.0, 0.0, 1.0]))
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_spd(linsolve.SPDSolver(A), np.ones(3))
+    with pytest.raises(SolverError, match="singular"):
+        linsolve.FillOrder(A)
+
+
 def test_jacobi_fallback_matches_scipy_wrapper(monkeypatch):
     A = GENERAL["uv_u"]
     b, x0 = _rhs_and_start(A, True, seed=10)

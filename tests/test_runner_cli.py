@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -303,6 +303,63 @@ def test_output_path_that_is_a_file_is_a_bad_config(
     assert not any((tmp_path / "adir").iterdir())
 
 
+def _no_step(rc):
+    raise AssertionError("a run started before its inputs and outputs were checked")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "dump"])
+@pytest.mark.parametrize("config", ["missing.cfg", "adir", "latin1.cfg"])
+def test_unreadable_config_file_is_a_bad_config(tmp_path, capsys, monkeypatch, command, config):
+    # a missing file, a directory or bytes that are not UTF-8 exit 3, not 1
+    monkeypatch.setattr(runner, "start", _no_step)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("ic = gauss  # caf\xe9\n".encode("latin-1"))
+    path = tmp_path / config
+    out = tmp_path / "out"
+    target = {"run": "--out", "sweep": "--sweep-out", "dump": "--vtk-out"}[command]
+    assert main([command, "--config", str(path), target, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read {str(path)!r}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_files_are_utf8_under_any_locale(tmp_path):
+    # under an ASCII locale, a UTF-8 config with a non-ASCII comment and the
+    # echo of a non-ASCII out_dir read and write as under a UTF-8 one
+    cfg, echo = tmp_path / "case.cfg", tmp_path / "config.echo"
+    cfg.write_text("ic = cosine  # caf\xe9\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from chemorepfem.runner import echo_config, parse_config_file, resolve_config\n"
+        "rc = resolve_config(parse_config_file(sys.argv[1]), {'out_dir': 'caf\\xe9'})\n"
+        "echo_config(sys.argv[2], rc)\n"
+        "assert resolve_config(parse_config_file(sys.argv[2]), {}) == rc\n"
+    )
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(runner.__file__)),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(echo)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "out_dir = caf\xe9\n" in echo.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["series.csv", "config.echo", "FAILED"])
+def test_output_name_taken_by_a_directory_is_a_bad_config(tmp_path, capsys, monkeypatch, name):
+    # the run wrote series.csv, or ran every step, before it found out (exit 1)
+    monkeypatch.setattr(runner, "start", _no_step)
+    out = tmp_path / "D"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "--steps", "2", "--nx", "4", "--ny", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ") and name in err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_eps_dropped_for_schemes_without_eps(tmp_path):
     assert RunConfig(scheme="us0", eps=0.5).eps is None
     assert RunConfig(scheme="useps", eps=0.5).eps == 0.5
@@ -425,6 +482,55 @@ def test_picard_failure_recorded(tmp_path):
     assert not result.ok and result.status == "picard-failure"
     assert (out / "FAILED").exists()
     assert (out / "series.csv").exists()  # completed steps still serialized
+
+
+def test_a_run_that_crashes_leaves_the_earlier_outputs_with_their_failed(tmp_path, monkeypatch):
+    # FAILED changes with series.csv and config.echo, so a crash mid-run
+    # (which run does not catch) cannot leave a failed run's series unmarked
+    out = tmp_path / "D"
+    failing = RunConfig(
+        out_dir=str(out), steps=2, nx=4, ny=4, dt=1e-2, picard_tol=1e-12, picard_max=1
+    )
+    assert run(failing).status == "picard-failure"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def crash(rc):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(runner, "execute_run", crash)
+    with pytest.raises(RuntimeError, match="crash"):
+        run(replace(failing, picard_max=50))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_rerun_removes_a_stale_failed(tmp_path, capsys):
+    # FAILED marks the last run into a directory, not some earlier one
+    out = tmp_path / "D"
+    args = ["run", "--steps", "2", "--nx", "4", "--ny", "4", "--out", str(out)]
+    assert main([*args, "--dt", "1e-2", "--picard-tol", "1e-12", "--picard-max", "1"]) == 2
+    assert (out / "FAILED").read_text().startswith("picard-failure")
+    assert main(args) == 0
+    assert not (out / "FAILED").exists()
+    assert len((out / "series.csv").read_text().splitlines()) == 1 + 3
+    base = RunConfig(steps=2, nx=4, ny=4)
+    failing = replace(base, dt=1e-2, picard_tol=1e-12, picard_max=1)
+    for rc, status in ((failing, "picard-failure"), (base, "ok")):
+        manifest = sweep(rc, ["uv"], [1.5], [None], str(tmp_path / "sw"))
+        with open(manifest) as fp:
+            assert [r["status"] for r in csv.DictReader(fp)] == [status]
+    assert not (tmp_path / "sw" / "uv_p1.5_epsnone" / "FAILED").exists()
+
+
+def test_a_factor_superlu_finds_singular_is_a_solver_failure(tmp_path, capsys):
+    # on cells of 0.25 x 2.5e-13 the u-matrix D/k + S of uveps rounds to a
+    # singular one; SuperLU's RuntimeError escaped as a traceback (exit 1)
+    out = tmp_path / "thin"
+    argv = ["run", "--scheme", "uveps", "--eps", "1e-3", "--lx", "1", "--ly", "1e-12"]
+    argv += ["--nx", "4", "--ny", "4", "--dt", "1", "--ic", "constant:1e3:0", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "solver-failure" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("solver-failure: SuperLU failed")
+    assert len((out / "series.csv").read_text().splitlines()) == 1 + 1
 
 
 def test_solver_failure_is_a_recorded_run_failure(tmp_path, capsys):

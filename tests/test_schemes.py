@@ -42,15 +42,25 @@ def test_config_validation():
 def test_init_state_projections_and_rejection():
     mesh = build_rect_mesh(4, 4, 2.0, 2.0)
     cfg = make("useps", eps=1e-2)
-    st = init_state(mesh, cfg, lambda x, y: np.full_like(x, 3.0), lambda x, y: np.full_like(x, 2.0))
+
+    def const(c):
+        return lambda x, y: np.full_like(x, c)
+
+    def zero_gradient(x, y):
+        return np.zeros_like(x), np.zeros_like(x)
+
+    def grad_y(x, y):
+        return np.zeros_like(x), np.ones_like(x)
+
+    st = init_state(mesh, cfg, const(3.0), const(2.0), zero_gradient)
     assert st.u == pytest.approx(np.full(mesh.n_nodes, 3.0), rel=1e-12)
     assert st.v == pytest.approx(np.full(mesh.n_nodes, 2.0), rel=1e-11)
     assert np.abs(st.sigma).max() <= 1e-10  # gradient of a constant
     assert st.step == 0 and st.time == 0.0
     with pytest.raises(ValueError):
-        init_state(mesh, cfg, lambda x, y: x - 1.0, lambda x, y: np.full_like(x, 1.0))
+        init_state(mesh, cfg, lambda x, y: x - 1.0, const(1.0), zero_gradient)
     with pytest.raises(ValueError):
-        init_state(mesh, cfg, lambda x, y: np.full_like(x, 1.0), lambda x, y: y - 1.0)
+        init_state(mesh, cfg, const(1.0), lambda x, y: y - 1.0, grad_y)
 
 
 def test_init_state_mass_against_quadrature_oracle():
