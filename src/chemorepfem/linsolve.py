@@ -1,8 +1,13 @@
 """Sparse solvers for the per-step linear systems.
 
-Preconditioned CG and BiCGStab that enforce the residual contract
-(||Ax - b|| <= rel_tol * ||b||), count iterations, and fail loudly
-instead of returning an unconverged iterate.  The SPD systems (v, sigma,
+Every solve meets the residual contract ||Ax - b|| <= rel_tol * ||b||
+or raises a ``SolverError``; it never returns an unconverged iterate.
+One routine, ``_solve``, states the contract for both entry points: a
+zero b gives x = 0 at once and a b whose norm is not finite fails before
+any iteration; the first attempt is a direct result or a Krylov run;
+an attempt that breaks down or whose true residual misses the contract
+gets one more Krylov run from its result, and a run that hits its cap of
+10 n iterations fails at once.  The SPD systems (v, sigma,
 projections) go to ``solve_spd``.  Given a bare matrix it runs
 Jacobi-preconditioned CG.  Given an ``SPDSolver``, the one solver built
 for each constant SPD operator (by ``schemes.Workspace`` for ``A_v``, the
@@ -20,8 +25,7 @@ it is spectrally equivalent, since D^{-1} M has its eigenvalues in
 [1/4, 1], so CG takes 3-4 iterations from zero.  ``A_v`` and
 ``A_sig_red`` keep Jacobi: in ``A_v = M/k + S + M`` the mass dominates,
 and there the tensor preconditioner took 15 iterations against
-Jacobi's 13.  A direct result that misses the contract is polished by
-CG from itself.  The choice is made once per operator, from its size
+Jacobi's 13.  The choice is made once per operator, from its size
 alone, so every solve of one operator takes the same path and runs
 repeat bit for bit.  The bound rests on these timings (scipy 1.17.1, one
 BLAS thread, warm Jacobi-CG from a nearby start, rel_tol 1e-12; ``nx``
@@ -140,16 +144,6 @@ def _jacobi(A):
     return 1.0 / np.where(d != 0.0, d, 1.0)
 
 
-def _prepare(b):
-    """The right-hand side as floats, the iteration cap 10 * n, and ||b||."""
-    b = np.asarray(b, dtype=float)
-    return b, 10 * b.size, float(np.linalg.norm(b))
-
-
-def _residual(A, x, b) -> float:
-    return float(np.linalg.norm(b - A @ x))
-
-
 def _norm(r) -> float:
     # what np.linalg.norm computes for a 1-D real array
     return math.sqrt(np.dot(r, r))
@@ -169,11 +163,12 @@ def _jacobi_solve(A):
 
 def _cg(A, b, x0, psolve, atol, maxiter):
     """Preconditioned CG; returns (x, info, completed iterations), info 0
-    on convergence (||r|| < atol) and maxiter when the cap is hit."""
+    on convergence (||r|| < atol) or a NaN residual, which the caller's
+    true residual rejects, and maxiter when the cap is hit."""
     x, r = _start(A, b, x0)
     p = rho_prev = None
     for it in range(maxiter):
-        if _norm(r) < atol:
+        if not _norm(r) >= atol:
             return x, 0, it
         z = psolve(r)
         rho = np.dot(r, z)
@@ -192,14 +187,14 @@ def _cg(A, b, x0, psolve, atol, maxiter):
 
 def _bicgstab(A, b, x0, psolve, atol, maxiter):
     """Preconditioned BiCGStab; returns (x, info, completed iterations),
-    info 0 on convergence, maxiter when the cap is hit and -10/-11 on a
-    rho/omega breakdown.  An exit after the first half of an iteration
-    does not count that iteration."""
+    info 0 on convergence or a NaN residual, as ``_cg``, maxiter when the
+    cap is hit and -10/-11 on a rho/omega breakdown.  An exit after the
+    first half of an iteration does not count that iteration."""
     x, r = _start(A, b, x0)
     rtilde = r.copy()
     rho_prev = omega = alpha = p = v = None
     for it in range(maxiter):
-        if _norm(r) < atol:
+        if not _norm(r) >= atol:
             return x, 0, it
         rho = np.dot(rtilde, r)
         if abs(rho) < _BREAKDOWN:
@@ -303,10 +298,10 @@ class FillOrder:
 class SPDSolver:
     """A constant SPD operator ``A`` prepared for ``solve_spd``.  Whether it
     is solved directly (it has at most ``_DIRECT_MAX_N`` unknowns) and its CG
-    preconditioner are fixed here; the LU is built at the first solve.  Above
-    the bound CG is preconditioned by ``precond()``, a solve r -> P r that
-    is built only there, or by Jacobi without one; a direct operator keeps
-    Jacobi for its polish."""
+    preconditioner are fixed here; the LU is built at the first solve of a
+    nonzero, finite b.  Above the bound CG is preconditioned by
+    ``precond()``, a solve r -> P r that is built only there, or by Jacobi
+    without one; a direct operator keeps Jacobi for its polish."""
 
     def __init__(self, A, precond=None):
         self.A = A
@@ -320,51 +315,50 @@ class SPDSolver:
         return self.lu.solve(b)
 
 
-def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
-    """Solve an SPD system: Jacobi-preconditioned CG for a matrix ``A``;
-    for an ``SPDSolver`` CG with its cached preconditioner, or, when it is
-    direct, its LU, polished by CG from the LU's result if that misses the
-    contract (``iterations`` counts the polish, so 0 when none ran)."""
-    b, maxiter, bnorm = _prepare(b)
+def _solve(krylov, A, b, rel_tol, x0, precond, direct=None) -> SolveResult:
+    """The residual contract of every solve: x with ||b - A x|| <= rel_tol
+    ||b||, or a ``SolverError``.  ``krylov`` is ``_cg`` or ``_bicgstab``,
+    preconditioned by the solve ``precond()`` builds once b is known to be
+    nonzero.  The first attempt is ``direct(b)`` if given, else a Krylov
+    run from ``x0``.  An attempt that breaks down, or whose true residual
+    misses the contract, gets one more Krylov run from its result; a run
+    that hits its cap of 10 n iterations fails at once, and a b whose norm
+    is not finite fails before any.  Every test is written so that NaN
+    fails it.  ``iterations`` counts the Krylov iterations, 0 for a direct
+    result that meets the contract."""
+    name = "CG" if krylov is _cg else "BiCGStab"
+    b = np.asarray(b, dtype=float)
+    bnorm, maxiter = _norm(b), 10 * b.size
+    if not math.isfinite(bnorm):
+        raise SolverError(f"{name}: the norm of the right-hand side is not finite", bnorm, 0)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, 0.0)
-    atol = rel_tol * bnorm
-    if isinstance(A, SPDSolver):
-        solver, A = A, A.A
-        psolve = solver.psolve
-        if solver.direct:
-            x0 = solver.lu_solve(b)
-            res = _residual(A, x0, b)
-            if res <= atol:
-                return SolveResult(x0, 0, res)
+    atol, psolve = rel_tol * bnorm, precond()
+    if direct is None:
+        x, info, iters = krylov(A, b, x0, psolve, atol, maxiter)
     else:
-        psolve = _jacobi_solve(A)
-    x, info, iters = _cg(A, b, x0, psolve, atol, maxiter)
-    res = _residual(A, x, b)
-    if info == 0 and res > atol:
-        # recurrence residual drifted from the true one; polish once
-        x, info, more = _cg(A, b, x, psolve, atol, maxiter)
+        x, info, iters = direct(b), 0, 0
+    res = _norm(b - A @ x)
+    if info != maxiter and not (info == 0 and res <= atol):
+        x, info, more = krylov(A, b, x, psolve, atol, maxiter)
         iters += more
-        res = _residual(A, x, b)
-    if info != 0 or res > atol:
-        raise SolverError("CG did not converge", res, iters)
-    return SolveResult(x, iters, res)
+        res = _norm(b - A @ x)
+    if info == 0 and res <= atol:
+        return SolveResult(x, iters, res)
+    raise SolverError(f"{name} did not converge", res, iters)
+
+
+def solve_spd(A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
+    """Solve an SPD system by ``_solve``: Jacobi-preconditioned CG for a
+    matrix ``A``; for an ``SPDSolver`` CG with its cached preconditioner,
+    or, when it is direct, its LU first."""
+    if not isinstance(A, SPDSolver):
+        return _solve(_cg, A, b, rel_tol, x0, lambda: _jacobi_solve(A))
+    return _solve(_cg, A.A, b, rel_tol, x0, lambda: A.psolve, A.lu_solve if A.direct else None)
 
 
 def solve_general(order, A, b, rel_tol: float = 1e-12, x0=None) -> SolveResult:
-    """BiCGStab for a CSR matrix ``A`` on the pattern of ``order``, a
-    ``FillOrder``, preconditioned by its ILU in that order; on breakdown
-    restarts once from the current iterate, then errors out."""
-    b, maxiter, bnorm = _prepare(b)
-    if bnorm == 0.0:
-        return SolveResult(np.zeros_like(b), 0, 0.0)
-    atol = rel_tol * bnorm
-    psolve = order.ilu(A)
-    x, info, iters = _bicgstab(A, b, x0, psolve, atol, maxiter)
-    if info != 0:
-        x, info, more = _bicgstab(A, b, x, psolve, atol, maxiter)
-        iters += more
-    res = _residual(A, x, b)
-    if info != 0 or res > atol:
-        raise SolverError("BiCGStab did not converge", res, iters)
-    return SolveResult(x, iters, res)
+    """Solve by ``_solve`` with BiCGStab for a CSR matrix ``A`` on the
+    pattern of ``order``, a ``FillOrder``, preconditioned by its ILU in
+    that order."""
+    return _solve(_bicgstab, A, b, rel_tol, x0, lambda: order.ilu(A))

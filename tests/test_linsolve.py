@@ -87,10 +87,45 @@ def test_determinism():
     assert np.array_equal(g1.x, g2.x)
 
 
-def test_zero_rhs_short_circuits():
+def test_zero_rhs_short_circuits(monkeypatch):
+    # x = 0 at once: no ILU and no LU is built
     a = sp.identity(4, format="csr")
-    res = solve_spd(a, np.zeros(4))
-    assert np.all(res.x == 0.0) and res.iterations == 0 and res.residual == 0.0
+    order, spd = linsolve.FillOrder(a), linsolve.SPDSolver(a)
+    built = []
+    monkeypatch.setattr(spla, "spilu", lambda *args, **kw: built.append("spilu"))
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: built.append("splu"))
+    for res in (
+        solve_spd(a, np.zeros(4)),
+        solve_spd(spd, np.zeros(4)),
+        linsolve.solve_general(order, a, np.zeros(4)),
+    ):
+        assert np.all(res.x == 0.0) and res.iterations == 0 and res.residual == 0.0
+    assert built == [] and spd.lu is None
+
+
+def test_non_finite_data_fails_before_any_iteration():
+    # a NaN or infinite b fails at once, and a NaN start ends CG and
+    # BiCGStab at once; each ran to its cap of 10 n iterations
+    rng = np.random.default_rng(6)
+    n = 30
+    q = rng.normal(size=(n, n))
+    a = sp.csr_matrix(q @ q.T + n * np.eye(n))
+    order = linsolve.FillOrder(a)
+    krylov = (
+        lambda b, x0: solve_spd(a, b, x0=x0),
+        lambda b, x0: linsolve.solve_general(order, a, b, x0=x0),
+    )
+    for solve in (*krylov, lambda b, x0: solve_spd(linsolve.SPDSolver(a), b, x0=x0)):
+        for bad in (np.nan, np.inf):
+            b = rng.normal(size=n)
+            b[3] = bad
+            with pytest.raises(SolverError, match="norm of the right-hand side is not finite") as exc:
+                solve(b, None)
+            assert exc.value.iterations == 0
+    for solve in krylov:
+        with pytest.raises(SolverError, match="did not converge") as exc:
+            solve(rng.normal(size=n), np.full(n, np.nan))
+        assert exc.value.iterations == 0 and np.isnan(exc.value.residual)
 
 
 def test_nonconvergence_raises_with_residual():
@@ -235,28 +270,28 @@ def test_bicgstab_half_step_exit_counts_no_iteration():
     assert np.linalg.norm(b - A @ x) < 1e-12 * np.linalg.norm(b)
 
 
-def scipy_solve_spd(A, b, rel_tol, x0=None):
-    """solve_spd as a wrapper around scipy.sparse.linalg.cg."""
-    bnorm = float(np.linalg.norm(b))
+def scipy_solve(method, A, b, rel_tol, M, x0=None):
+    """The residual contract of solve_spd and solve_general around scipy's
+    ``method``: one more run from the result after a breakdown or a missed
+    true residual, none after the cap."""
     maxiter = 10 * b.size
-    M = sp.diags(linsolve._jacobi(A))
-    x, info, iters = scipy_krylov(spla.cg, A, b, x0, M, rel_tol, maxiter)
+    x, info, iters = scipy_krylov(method, A, b, x0, M, rel_tol, maxiter)
     res = float(np.linalg.norm(b - A @ x))
-    if info == 0 and res > rel_tol * bnorm:
-        x, info, more = scipy_krylov(spla.cg, A, b, x, M, rel_tol, maxiter)
+    if info != maxiter and not (info == 0 and res <= rel_tol * float(np.linalg.norm(b))):
+        x, info, more = scipy_krylov(method, A, b, x, M, rel_tol, maxiter)
         iters += more
         res = float(np.linalg.norm(b - A @ x))
     return x, info, iters, res
 
 
+def scipy_solve_spd(A, b, rel_tol, x0=None):
+    """solve_spd as a wrapper around scipy.sparse.linalg.cg."""
+    return scipy_solve(spla.cg, A, b, rel_tol, sp.diags(linsolve._jacobi(A)), x0)
+
+
 def scipy_solve_general(A, b, rel_tol, M, x0=None):
     """solve_general as a wrapper around scipy.sparse.linalg.bicgstab."""
-    maxiter = 10 * b.size
-    x, info, iters = scipy_krylov(spla.bicgstab, A, b, x0, M, rel_tol, maxiter)
-    if info != 0:
-        x, info, more = scipy_krylov(spla.bicgstab, A, b, x, M, rel_tol, maxiter)
-        iters += more
-    return x, info, iters, float(np.linalg.norm(b - A @ x))
+    return scipy_solve(spla.bicgstab, A, b, rel_tol, M, x0)
 
 
 @pytest.mark.parametrize("name", sorted(SPD))
@@ -287,6 +322,33 @@ def test_general_solve_matches_scipy_wrapper_and_keeps_x0(name):
     assert (res.iterations, res.residual) == (iters, r)
 
 
+def test_general_result_missing_the_contract_is_polished_once(monkeypatch):
+    # a BiCGStab run that reports convergence but whose true residual
+    # misses the contract gets one more run from its result
+    A = GENERAL["uv_u"]
+    b, x0 = _rhs_and_start(A, True, seed=13)
+    real, runs = linsolve._bicgstab, []
+
+    def perturbed(*args):
+        x, info, iters = real(*args)
+        if not runs:
+            x = x * (1.0 + 1e-6 * np.cos(np.arange(x.size)))
+        runs.append((x, info, iters))
+        return x, info, iters
+
+    monkeypatch.setattr(linsolve, "_bicgstab", perturbed)
+    order = linsolve.FillOrder(A)
+    res = linsolve.solve_general(order, A, b, 1e-12, x0=x0)
+    (start, info0, iters0), _ = runs
+    assert info0 == 0 and np.linalg.norm(b - A @ start) > 1e-12 * np.linalg.norm(b)
+    M = spla.LinearOperator(A.shape, order.ilu(A))
+    x, info, iters = scipy_krylov(spla.bicgstab, A, b, start, M, 1e-12, 10 * b.size)
+    assert info == 0 and iters >= 1
+    assert_bitwise(res.x, x)
+    assert (res.iterations, res.residual) == (iters0 + iters, float(np.linalg.norm(b - A @ x)))
+    assert res.residual <= 1e-12 * np.linalg.norm(b)
+
+
 def failing_spilu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
@@ -294,8 +356,8 @@ def failing_spilu(*args, **kwargs):
 def test_exhausted_solves_raise_scipy_residual(monkeypatch):
     # the pure-Neumann stiffness matrix is singular and b is not orthogonal
     # to its null space (the constants), so no iterate meets the tolerance
-    # and both solves run to their cap of 10 n iterations, BiCGStab twice;
-    # on consistent systems BiCGStab breaks down before its cap instead
+    # and both solves run to their cap of 10 n iterations once, and fail
+    # there; on consistent systems BiCGStab breaks down before its cap
     mesh = build_rect_mesh(6, 6, 2.0, 2.0)
     A = mesh.S.tocsr()
     b, _ = _rhs_and_start(A, False, seed=9)
@@ -313,7 +375,7 @@ def test_exhausted_solves_raise_scipy_residual(monkeypatch):
     with pytest.raises(SolverError) as exc:
         linsolve.solve_general(order, A, b, 1e-12)
     _, info, iters, r = scipy_solve_general(A, b, 1e-12, sp.diags(linsolve._jacobi(A)))
-    assert (info, iters) == (cap, 2 * cap)
+    assert info == iters == cap
     assert (exc.value.residual, exc.value.iterations) == (r, iters)
 
 
@@ -423,6 +485,17 @@ def test_direct_result_missing_the_contract_is_polished_by_cg(monkeypatch):
         assert_bitwise(res.x, x)
         assert (res.iterations, res.residual) == (iters, r)
         assert r <= 1e-12 * np.linalg.norm(b)
+
+
+def test_a_nan_direct_result_fails_without_iterating(monkeypatch):
+    # a NaN LU result misses the contract and its polish ends at once; CG
+    # from the NaN ran to its cap of 10 n iterations
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: _Factor(lambda b: np.full(b.size, np.nan)))
+    A = SPD["A_v"]
+    b, x0 = _rhs_and_start(A, True, seed=14)
+    with pytest.raises(SolverError, match="CG did not converge") as exc:
+        solve_spd(linsolve.SPDSolver(A), b, 1e-12, x0=x0)
+    assert exc.value.iterations == 0 and np.isnan(exc.value.residual)
 
 
 def test_failed_polish_raises_the_true_residual(monkeypatch):

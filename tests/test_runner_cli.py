@@ -533,6 +533,22 @@ def test_a_factor_superlu_finds_singular_is_a_solver_failure(tmp_path, capsys):
     assert len((out / "series.csv").read_text().splitlines()) == 1 + 1
 
 
+def test_a_non_finite_load_fails_before_any_solver_iteration(tmp_path, capsys):
+    # p near 2 with a tiny eps: the Picard iterates of step 1 grow until a
+    # load's norm overflows, after which CG ran to its cap of 10 n = 200
+    # iterations on NaN data; the status stays a solver-failure, since
+    # SuperLU failures report a NaN residual too
+    out = tmp_path / "inf"
+    argv = ["run", "--scheme", "uveps", "--p", "1.9984", "--eps", "2.3e-11", "--dt", "1"]
+    argv += ["--steps", "2", "--nx", "3", "--ny", "4", "--lx", "1", "--ly", "1"]
+    with np.errstate(all="ignore"):
+        assert main([*argv, "--out", str(out)]) == 2
+    assert "solver-failure" in capsys.readouterr().err
+    failed = (out / "FAILED").read_text()
+    assert failed.startswith("solver-failure: CG: the norm of the right-hand side is not finite")
+    assert "after 0 iterations" in failed
+
+
 def test_solver_failure_is_a_recorded_run_failure(tmp_path, capsys):
     # a residual contract no Krylov solve can meet: CG fails in step 1; the
     # set-up solves to it too, but v0 = 0 gives its H1 projection a zero load

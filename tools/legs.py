@@ -9,11 +9,14 @@ every workload (3 workloads x 4 legs x seeds 0-3) through ``Workspace.step``
 from perfbench's seeded initial data, with the workload's mesh, time step,
 tolerance and step count.  Per leg it stores the initial ``u``, ``v`` and
 ``sigma``, the Picard iterations and the largest solver count of each step,
-the exception of a failed step, and the final ``u``, ``v``, ``sigma`` and
-``energy_modified``.
+the iterations of every call of ``linsolve.solve_spd`` and
+``linsolve.solve_general`` in order (set-up, steps and energy alike; a
+failed solve gives the count of its ``SolverError``), the exception of a
+failed step, and the final ``u``, ``v``, ``sigma`` and ``energy_modified``.
 
-``compare`` prints one line per leg: whether its counts are equal, and for
-each field whether it is bitwise equal or else its relative L2 gap
+``compare`` prints one line per leg: whether its counts (Picard and solver
+counts per step, and the count of every solve) are equal, and for each
+field whether it is bitwise equal or else its relative L2 gap
 ||b - a|| / ||a||.  It exits 1 when any count, failure or leg differs.
 BLAS is pinned to one thread, as perfbench pins it.
 """
@@ -31,6 +34,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 SEEDS = (0, 1, 2, 3)
+COUNTS = ("counts", "solves")
 FIELDS = ("u0", "v0", "sigma0", "u", "v", "sigma", "energy_modified")
 
 
@@ -54,12 +58,38 @@ def leg_arrays(tree, workloads=None) -> dict:
     """The arrays of every leg of ``workloads`` (default: perfbench's), keyed
     ``workload:scheme:seed:name``."""
     chemorepfem, wls = _import_tree(Path(tree).resolve())
+    from chemorepfem import linsolve
+
+    solves = []
+
+    def counted(solve):
+        def wrapped(*args, **kwargs):
+            try:
+                result = solve(*args, **kwargs)
+            except linsolve.SolverError as exc:
+                solves.append(exc.iterations)
+                raise
+            solves.append(result.iterations)
+            return result
+
+        return wrapped
+
+    originals = linsolve.solve_spd, linsolve.solve_general
+    linsolve.solve_spd, linsolve.solve_general = map(counted, originals)
+    try:
+        return _step_legs(workloads or wls.WORKLOADS.values(), wls, solves)
+    finally:
+        linsolve.solve_spd, linsolve.solve_general = originals
+
+
+def _step_legs(workloads, wls, solves) -> dict:
     from chemorepfem import diagnostics, mesh, schemes
 
     arrays = {}
-    for wl in workloads or wls.WORKLOADS.values():
+    for wl in workloads:
         for leg in wl.legs:
             for seed in SEEDS:
+                solves.clear()
                 ic = wls.seeded_preset(wl.ic, seed)
                 cfg = wl.config(leg)
                 m = mesh.build_rect_mesh(wl.nx, wl.nx, wls.LENGTH, wls.LENGTH)
@@ -77,6 +107,7 @@ def leg_arrays(tree, workloads=None) -> dict:
                 energy = diagnostics.energy_modified(m, ws.pot, cfg, state)
                 out.update(u=state.u, v=state.v, sigma=state.sigma, energy_modified=energy)
                 out["counts"] = np.array(counts, dtype=np.int64).reshape(-1, 2)
+                out["solves"] = np.array(solves, dtype=np.int64)
                 out["failure"] = failure
                 key = f"{wl.name}:{leg.scheme}:{seed}"
                 for name, value in out.items():
@@ -112,7 +143,8 @@ def compare(a, b) -> int:
         if fa is None or fb is None:
             print(f"{leg}  only in {'B' if fa is None else 'A'}")
             continue
-        same = _gap(fa["counts"], fb["counts"]) == "bitwise" and fa["failure"] == fb["failure"]
+        same = fa["failure"] == fb["failure"]
+        same = same and all(_gap(fa[n], fb[n]) == "bitwise" for n in COUNTS)
         gaps = {
             n: _gap(fa[n], fb[n]) if n in fa and n in fb else "missing"
             for n in FIELDS
