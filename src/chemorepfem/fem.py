@@ -61,6 +61,13 @@ _QP4 = np.array(
 )
 
 
+# elements per block of project_Rh's load: 12 288 points, so each (block, 6)
+# temporary is 96 KiB where the whole rule at nx = 160 took tens of MB; even,
+# as the element count is, so no block holds a single element, whose products
+# numpy rounds differently
+_RH_BLOCK = 2048
+
+
 def _per_shape(values, kernels):
     """Per-element rows times the (k x m) matrix of the element's shape:
     (..., n_elements, k) by (2, k, m) -> (..., n_elements, m)."""
@@ -254,19 +261,25 @@ def project_Rh(mesh, v, grad_v, rel_tol: float = 1e-12) -> np.ndarray:
     """H1 projection: (grad Rv, grad w) + (Rv, w) = (grad v, grad w) + (v, w).
 
     ``v(x, y)`` and its gradient ``grad_v(x, y) -> (gx, gy)`` are callables;
-    the right-hand side is assembled with a degree-4 triangle rule.  The
-    solve meets the relative ``rel_tol``.
+    the right-hand side is assembled with a degree-4 triangle rule over
+    blocks of ``_RH_BLOCK`` elements, at most ``6 * _RH_BLOCK`` points per
+    call of ``v`` or ``grad_v``, so the rule's temporaries do not grow with
+    the mesh.  The solve meets the relative ``rel_tol``.
     """
-    pts = _QP4 @ mesh.nodes[mesh.elements]  # (E,Q,2)
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    wq = mesh.areas[:, None] * _QW4[None, :]
-    # (v, phi_i): hat values at quadrature points are the barycentric coords
-    local = (wq * np.asarray(v(x, y), dtype=float)) @ _QP4
-    # (grad v, grad phi_i): hat gradients are constant per element, so the
-    # rule sums the gradient of v on each element first
-    gbar = [(wq * np.asarray(g, dtype=float)).sum(axis=1) for g in grad_v(x, y)]
-    local += np.einsum("eid,ed->ei", mesh.grads, np.stack(gbar, axis=-1))
+    local = np.empty((mesh.n_elements, 3))
+    for start in range(0, mesh.n_elements, _RH_BLOCK):
+        b = slice(start, start + _RH_BLOCK)
+        pts = _QP4 @ mesh.nodes[mesh.elements[b]]  # (b,Q,2)
+        x, y = pts[:, :, 0], pts[:, :, 1]
+        wq = mesh.areas[b, None] * _QW4[None, :]
+        # (v, phi_i): hat values at quadrature points are the barycentric coords
+        local[b] = (wq * np.asarray(v(x, y), dtype=float)) @ _QP4
+        # (grad v, grad phi_i): hat gradients are constant per element, so the
+        # rule sums the gradient of v on each element first
+        gbar = [(wq * np.asarray(g, dtype=float)).sum(axis=1) for g in grad_v(x, y)]
+        local[b] += np.einsum("eid,ed->ei", mesh.grads[b], np.stack(gbar, axis=-1))
     rhs = _scatter_vector(mesh, local)
+    del local  # freed before the solve, whose set-up is the peak
     # by the size rule: one LU up to the bound, and above it CG
     # preconditioned by (D + S)^{-1}, a few iterations (linsolve table)
     solver = linsolve.SPDSolver(mesh.A, precond=lambda: tensor_inverse(mesh, 1.0))

@@ -234,17 +234,20 @@ def execute_run(rc: RunConfig) -> RunResult:
     records, state, last_step = [], None, None
     status, detail = "ok", ""
     try:
-        ops, state = start(rc)
-        records.append(_record(ops, state))
-        last_step = 0
-        for prev, state, report in ops.march(state, rc.steps):
-            if state.step % rc.output_every == 0 or state.step == rc.steps:
-                records.append(_record(ops, state, prev, report))
-            elif not all(
-                np.isfinite(f).all() for f in (state.u, state.v, state.sigma) if f is not None
-            ):
-                raise NonFiniteError(f"non-finite field at step {state.step}")
-            last_step = state.step
+        # a failing run's overflow is caught by the checks below and the
+        # solvers' own, which name the failure; numpy's warnings would not
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ops, state = start(rc)
+            records.append(_record(ops, state))
+            last_step = 0
+            for prev, state, report in ops.march(state, rc.steps):
+                if state.step % rc.output_every == 0 or state.step == rc.steps:
+                    records.append(_record(ops, state, prev, report))
+                elif not all(
+                    np.isfinite(f).all() for f in (state.u, state.v, state.sigma) if f is not None
+                ):
+                    raise NonFiniteError(f"non-finite field at step {state.step}")
+                last_step = state.step
     except PicardError as exc:
         status, detail = "picard-failure", str(exc)
     except SolverError as exc:

@@ -1,7 +1,9 @@
 """Assembly and projection operators against symbolic and dense oracles."""
 
 import gc
+import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -648,6 +650,84 @@ def test_init_state_evaluates_v0_at_the_nodes_once():
     init_state(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3), ic.u0, v0, ic.grad_v0)
     assert shapes.count((mesh.n_nodes,)) == 1  # the nonnegativity check
     assert shapes.count((mesh.n_elements, fem._QW4.size)) == 1  # the projection's rule
+
+
+def _seeded_input(seed):
+    """v = sum c_kl cos(k x) cos(l y) + 3 and its gradient, c seeded."""
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3))
+    k = np.arange(3)
+
+    def v(x, y):
+        cx, cy = np.cos(x[..., None] * k), np.cos(y[..., None] * k)
+        return np.einsum("...k,kl,...l->...", cx, c, cy) + 3.0
+
+    def grad_v(x, y):
+        cx, cy = np.cos(x[..., None] * k), np.cos(y[..., None] * k)
+        dx, dy = -k * np.sin(x[..., None] * k), -k * np.sin(y[..., None] * k)
+        return np.einsum("...k,kl,...l->...", dx, c, cy), np.einsum("...k,kl,...l->...", cx, c, dy)
+
+    return v, grad_v
+
+
+@pytest.mark.parametrize("ic", ["gauss", "cosine", "constant:1:2", "seeded"])
+# element counts below one block, exactly one, and three not a multiple of it
+@pytest.mark.parametrize("nx, ny", [(8, 8), (32, 32), (25, 41), (45, 45), (161, 13)])
+def test_project_Rh_blocked_load_is_the_one_shot_rule(ic, nx, ny, monkeypatch):
+    mesh = build_rect_mesh(nx, ny, 2.0, 2.0)
+    if ic == "seeded":
+        v, grad_v = _seeded_input(3)
+    else:
+        v, grad_v = get_preset(ic).v0, get_preset(ic).grad_v0
+    # the one-shot rule over all E x 6 points at once
+    pts = fem._QP4 @ mesh.nodes[mesh.elements]
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    wq = mesh.areas[:, None] * fem._QW4[None, :]
+    local = (wq * np.asarray(v(x, y), dtype=float)) @ fem._QP4
+    gbar = [(wq * np.asarray(g, dtype=float)).sum(axis=1) for g in grad_v(x, y)]
+    local += np.einsum("eid,ed->ei", mesh.grads, np.stack(gbar, axis=-1))
+    one_shot = np.bincount(mesh.elements.ravel(), local.ravel(), mesh.n_nodes)
+
+    seen = {"v": [], "grad_v": []}
+
+    def spy(name, f):
+        def call(x, y):
+            assert x.shape == y.shape and x.size <= fem._RH_BLOCK * fem._QW4.size
+            seen[name].append(np.stack([x, y], axis=-1))
+            return f(x, y)
+
+        return call
+
+    # the solve returns its right-hand side, which is the load
+    monkeypatch.setattr(linsolve, "solve_spd", lambda solver, b, rel_tol: SimpleNamespace(x=b))
+    load = fem.project_Rh(mesh, spy("v", v), spy("grad_v", grad_v))
+    assert load.tobytes() == one_shot.tobytes()
+    for calls in seen.values():
+        # in element order, each element's six points exactly once
+        assert len(calls) == -(-mesh.n_elements // fem._RH_BLOCK)
+        assert np.concatenate(calls).tobytes() == pts.tobytes()
+
+
+def test_init_state_memory_is_bounded_by_the_block():
+    mesh = build_rect_mesh(160, 160, 2.0, 2.0)
+    cfg = SchemeConfig("useps", 1.5, 1e-4, eps=1e-3)
+    Workspace(mesh, cfg)
+    ic = get_preset("gauss")
+    tracemalloc.start()
+    try:
+        state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak -= sum(f.nbytes for f in (state.u, state.v, state.sigma))
+    # at most 32 (block, 6) float temporaries alive at once (the rule's
+    # points and weights, the callables' intermediates and the weighted
+    # products, with room to spare), plus the (E, 3) local load.  Measured:
+    # the load peaks near 12 temporaries and the whole set-up at 3.7 MB, in
+    # the H1 solve's preconditioner set-up after the load is freed; the rule
+    # over all E x 6 points at once took 28 MB.
+    temporary = fem._RH_BLOCK * fem._QW4.size * 8  # bytes of one (block, 6) array
+    assert temporary <= 2**20  # so the bound stays far below the whole rule's
+    assert peak <= 32 * temporary + mesh.n_elements * 3 * 8
 
 
 # -- the tensor-product inverse of c D + S ------------------------------------

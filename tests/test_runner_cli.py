@@ -549,6 +549,23 @@ def test_a_non_finite_load_fails_before_any_solver_iteration(tmp_path, capsys):
     assert "after 0 iterations" in failed
 
 
+def test_a_failing_run_prints_no_numpy_warnings(tmp_path):
+    # the same overflowing run in its own process, whose stderr holds what a
+    # user sees: the run's lines, and no RuntimeWarning naming a source line
+    out = tmp_path / "inf"
+    argv = ["run", "--scheme", "uveps", "--p", "1.9984", "--eps", "2.3e-11", "--dt", "1"]
+    argv += ["--steps", "2", "--nx", "3", "--ny", "4", "--lx", "1", "--ly", "1"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(runner.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemorepfem.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("  FAILED (solver-failure): CG: the norm")
+    assert (out / "FAILED").read_text().startswith("solver-failure: CG: the norm")
+
+
 def test_solver_failure_is_a_recorded_run_failure(tmp_path, capsys):
     # a residual contract no Krylov solve can meet: CG fails in step 1; the
     # set-up solves to it too, but v0 = 0 gives its H1 projection a zero load
