@@ -1,9 +1,8 @@
 """P1 fields, quadrature, projections, loads and convection assembly.
 
-Scalar fields are plain (n_nodes,) arrays, vector fields (n_nodes, 2)
-arrays.  The sigma linear system stacks vector DOFs block-wise:
-[all x-components, all y-components].  The operators that depend on the
-mesh alone (``D``, ``M``, ``S``, ``A``) are attributes of the mesh.
+Scalar fields are plain (n_nodes,) arrays, vector fields, their loads and
+the sigma clamp mask (n_nodes, 2) arrays.  The operators that depend on
+the mesh alone (``D``, ``M``, ``S``, ``A``) are attributes of the mesh.
 
 Quadrature policy: products of piecewise-constant data with hat gradients
 are integrated exactly; P1 x P1 products use the exact consistent mass;
@@ -41,9 +40,6 @@ __all__ = [
     "weighted_gradient_load",
     "lumped_load",
     "mixed_vector_load",
-    "stack_vec",
-    "unstack_vec",
-    "vec_product",
 ]
 
 # 6-point degree-4 triangle rule (barycentric points, weights summing to 1)
@@ -86,40 +82,22 @@ def _scatter_vector(mesh, local):
 
 
 def sigma_fixed_mask(mesh) -> np.ndarray:
-    """Stacked-DOF mask of components clamped by the zero normal trace.
+    """(N,2) mask of the components clamped by the zero normal trace.
 
     On a rectangle: y-components on horizontal edges, x-components on
     vertical edges, both at corners.  Node (i, j) has index j*(nx+1) + i.
     """
     j, i = np.divmod(np.arange(mesh.n_nodes), mesh.nx + 1)
-    on_v = (i == 0) | (i == mesh.nx)
-    on_h = (j == 0) | (j == mesh.ny)
-    return np.concatenate([on_v, on_h])
-
-
-def stack_vec(w: np.ndarray) -> np.ndarray:
-    """(N,2) vector field -> stacked (2N,) DOF vector."""
-    return np.concatenate([w[:, 0], w[:, 1]])
-
-
-def unstack_vec(x: np.ndarray) -> np.ndarray:
-    """Stacked (2N,) DOF vector -> (N,2) vector field."""
-    n = x.size // 2
-    return np.column_stack([x[:n], x[n:]])
-
-
-def vec_product(op, w: np.ndarray) -> np.ndarray:
-    """Stacked product of a scalar operator with each component of a (N,2)
-    field: ``diag(op, op) @ stack_vec(w)``, without building the block."""
-    return np.concatenate([op @ w[:, 0], op @ w[:, 1]])
+    return np.column_stack([(i == 0) | (i == mesh.nx), (j == 0) | (j == mesh.ny)])
 
 
 def form(op, x) -> float:
     """Quadratic form ``x . (op x)`` of a scalar operator, on a (N,) field
-    or summed over the components of a (N,2) field."""
+    or summed over the components of a (N,2) field, as one dot product of
+    the x-components followed by the y-components."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return float(stack_vec(x) @ vec_product(op, x))
+        return float(x.T.ravel() @ (op @ x).T.ravel())
     return float(x @ (op @ x))
 
 
@@ -194,7 +172,7 @@ def project_Qh_vec(mesh, w_elem, rel_tol: float = 1e-12) -> np.ndarray:
     for c in range(2):
         rhs = _scatter_vector(mesh, np.repeat((mesh.areas / 3.0 * w[:, c])[:, None], 3, axis=1))
         out[:, c] = linsolve.solve_spd(mesh.M, rhs, rel_tol).x
-    out[unstack_vec(sigma_fixed_mask(mesh))] = 0.0
+    out[sigma_fixed_mask(mesh)] = 0.0
     return out
 
 
@@ -244,11 +222,13 @@ def tensor_inverse(mesh, c: float):
     # T0^{-1} - Z^T (I + delta Z_E)^{-1} delta E^T T0^{-1}
     corners = np.array([0, nx, ny * (nx + 1), mesh.n_nodes - 1])
     delta = c * (mesh.D[corners] - hx * hy / 4.0)
-    e = np.zeros((4, mesh.n_nodes))
-    e[np.arange(4), corners] = 1.0
-    z = np.stack([tensor(col) for col in e])
-    core = np.linalg.solve(np.eye(4) + delta[:, None] * z[:, corners], np.diag(delta))
-    zt = np.ascontiguousarray(z.T)
+    zt = np.empty((mesh.n_nodes, 4))  # Z^T, one unit column at a time
+    e = np.zeros(mesh.n_nodes)
+    for col, node in enumerate(corners):
+        e[node] = 1.0
+        zt[:, col] = tensor(e)
+        e[node] = 0.0
+    core = np.linalg.solve(np.eye(4) + delta[:, None] * zt[corners].T, np.diag(delta))
 
     def solve(b):
         y = tensor(b)
@@ -317,7 +297,7 @@ def lumped_load(mesh, values) -> np.ndarray:
 
 
 def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
-    """Stacked load l with l[(c,i)] = integral of u * g_K[c] * phi_i.
+    """(N,2) load l with l[i, c] = integral of u * g_K[c] * phi_i.
 
     ``u`` is nodal P1 and ``g_elem`` per-element constant; the product is
     quadratic per element and integrated exactly, as g_K[c] times the local
@@ -326,5 +306,5 @@ def mixed_vector_load(mesh, u, g_elem) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     g = np.asarray(g_elem, dtype=float)
     m = _per_shape(u[mesh.elements], mesh.areas[:2, None, None] * _MASS_BASE)
-    return np.concatenate([_scatter_vector(mesh, g[:, c : c + 1] * m) for c in range(2)])
+    return np.column_stack([_scatter_vector(mesh, g[:, c : c + 1] * m) for c in range(2)])
 

@@ -11,19 +11,23 @@ gets one more Krylov run from its result, and a run that hits its cap of
 projections) go to ``solve_spd``.  Given a bare matrix it runs
 Jacobi-preconditioned CG.  Given an ``SPDSolver``, the one solver built
 for each constant SPD operator (by ``schemes.Workspace`` for ``A_v``, the
-lumped ``A_u`` of ``uveps`` and ``A_sig_red``, by ``fem.project_Rh`` for
-the H1 operator S + M), an operator with at most ``_DIRECT_MAX_N``
-unknowns is solved by a sparse LU (SuperLU ``splu``, minimum degree on
-A^T + A) built at its first solve, and a larger one by CG.  That CG takes
-the solver's ``precond``, a builder of a preconditioner solve r -> P r
+lumped ``A_u`` of ``uveps`` and the two sigma halves, the blocks of
+``A_v`` at the nodes where the clamp leaves each sigma component free;
+by ``fem.project_Rh`` for the H1 operator S + M), an operator with at
+most ``_DIRECT_MAX_N`` unknowns is solved by a sparse LU (SuperLU
+``splu``, minimum degree on A^T + A) built at its first solve, and a
+larger one by CG.  Each sigma component is one solve, held to rel_tol
+times the norm of its own load: that implies the contract of the two
+stacked into one system and is stricter on the smaller one.  The CG
+takes the solver's ``precond``, a builder of a preconditioner solve r -> P r
 that is called only above the bound, or else the operator's cached
 Jacobi vector.  ``A_u = D/k + S`` and S + M get ``fem.tensor_inverse``,
 the inverse of c D + S on the structured mesh (two cosine transforms
 each way and a rank-4 correction at the corners), with c = 1/k and
 c = 1: for ``A_u`` it is exact, so CG takes one iteration, and for S + M
 it is spectrally equivalent, since D^{-1} M has its eigenvalues in
-[1/4, 1], so CG takes 3-4 iterations from zero.  ``A_v`` and
-``A_sig_red`` keep Jacobi: in ``A_v = M/k + S + M`` the mass dominates,
+[1/4, 1], so CG takes 3-4 iterations from zero.  ``A_v`` and the
+sigma halves keep Jacobi: in ``A_v = M/k + S + M`` the mass dominates,
 and there the tensor preconditioner took 15 iterations against
 Jacobi's 13.  The choice is made once per operator, from its size
 alone, so every solve of one operator takes the same path and runs
@@ -31,17 +35,19 @@ repeat bit for bit.  The bound rests on these timings (scipy 1.17.1, one
 BLAS thread, warm Jacobi-CG from a nearby start, rel_tol 1e-12; ``nx``
 is the mesh; the H1 rows, CG from the nodal interpolant, were taken on a
 machine 3-5x slower, with the LU settings of ``_superlu``, which build
-the others in 0.55-0.75 of the time shown):
+the others in 0.55-0.75 of the time shown; the sigma-half rows, with
+those settings on a 2-core machine, are ``useps`` at dt 1e-2 (nx = 20)
+and 1e-4, CG from a start 1e-3 of the solution's norm away):
 
-    n (operator, nx)       LU build      LU solve       CG solve       repays after
-    441 (A_v/A_u, 20)      0.44/0.37 ms  16/12 us       233/225 us     ~2 solves
-    798 (A_sig_red, 20)    1.95 ms       33 us          336 us         ~6
-    1681 (A_v/A_u, 40)     1.8/1.4 ms    58/38 us       169/106 us     ~16-20
-    3198 (A_sig_red, 40)   18.4 ms       283 us         400 us         ~160
-    25921 (A_v/A_u, 160)   35-63/42 ms   1.1-2.2/0.9 ms 2.5-2.8/2.3 ms ~40-70
-    51198 (A_sig_red, 160) 1.23 s        9.8 ms         6.9 ms         never
-    441/1681 (H1, 20/40)   1.3/4.9 ms    0.1/0.3 ms     71/136 it, 2.1/6.7 ms  at once
-    25921 (H1, 160)        126 ms        6.3 ms         513-642 it, 0.21-0.28 s at once
+    n (operator, nx)        LU build      LU solve       CG solve       repays after
+    441 (A_v/A_u, 20)       0.44/0.37 ms  16/12 us       233/225 us     ~2 solves
+    399 (sigma half, 20)    0.54 ms       23 us          352 us         ~2
+    1681 (A_v/A_u, 40)      1.8/1.4 ms    58/38 us       169/106 us     ~16-20
+    1599 (sigma half, 40)   2.1 ms        88 us          320 us         ~9
+    25921 (A_v/A_u, 160)    35-63/42 ms   1.1-2.2/0.9 ms 2.5-2.8/2.3 ms ~40-70
+    25599 (sigma half, 160) 63-69 ms      2.1 ms         5.9-6.1 ms     ~16-18
+    441/1681 (H1, 20/40)    1.3/4.9 ms    0.1/0.3 ms     71/136 it, 2.1/6.7 ms  at once
+    25921 (H1, 160)         126 ms        6.3 ms         513-642 it, 0.21-0.28 s at once
 
 and, for CG with ``fem.tensor_inverse`` (the same settings, on a 2-core
 machine; the u-solve warm, the H1 solve from zero, one LU built and
@@ -53,10 +59,11 @@ solved in the last column):
     441/1681 (H1, 20/40)    0.44/0.40 ms   4 it, 0.52/0.48 ms   LU 1.7/3.4 ms
     25921 (H1, 160)         5.0 ms         3 it, 5.9 ms         LU 130 ms
 
-At and below the bound every operator keeps its LU.
-
-Factoring ``A_sig_red`` at nx = 40 as well cost 12% of the ``useps``/
-``us0`` rate of a 20-step nx = 40 run and 12% more peak memory.
+At and below the bound every operator keeps its LU.  The sigma halves of
+nx = 40 fall under it, where their stacked system (3198 unknowns) did
+not.  On the 6-step nx = 40 gauss legs of ``tools/rates.py``, two
+builds included, the halves' ``useps``/``us0`` rates read 0.94-0.97 of
+the stacked system's, and the untouched ``uv`` 0.96 (medians of 3).
 
 The nonsymmetric u-equation with its convection matrix goes to BiCGStab
 preconditioned by an incomplete LU (drop tolerance 1e-6, fill factor 20)

@@ -83,8 +83,10 @@ class StructuredTriMesh:
         lumped = np.repeat((self.areas / 3.0)[:, None], 3, axis=1)
         self.D = np.bincount(self.elements.ravel(), weights=lumped.ravel(), minlength=self.n_nodes)
         self.M = self.assemble(self.areas[:, None, None] * _MASS_BASE)
+        gx, gy = self.grads[..., 0], self.grads[..., 1]
         self.S = self.assemble(
-            self.areas[:, None, None] * np.einsum("eik,ejk->eij", self.grads, self.grads)
+            self.areas[:, None, None]
+            * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
         )
         self.A = self.S + self.M
         # M's least entry |K|/12 must be normal for SuperLU; NaN fails both tests

@@ -247,10 +247,13 @@ class Workspace:
             )
         if cfg.uses_sigma:
             # mass/k + rot-rot/div-div is diag(A_v, A_v) on the free DOFs: its
-            # x-y coupling is a boundary term, each entry at a clamped DOF
-            free = self.sigma_free = np.flatnonzero(~fem.sigma_fixed_mask(mesh))
-            self.A_sig_red = sp.block_diag([self.A_v, self.A_v], format="csr")[free, :][:, free]
-            self.sigma_solver = linsolve.SPDSolver(self.A_sig_red)
+            # x-y coupling is a boundary term, each entry at a clamped DOF, so
+            # component c is a scalar system on A_v's block at the nodes
+            # whose component c the clamp leaves free
+            self.sigma_solvers = [
+                (free, linsolve.SPDSolver(self.A_v[free][:, free]))
+                for free in map(np.flatnonzero, ~fem.sigma_fixed_mask(mesh).T)
+            ]
 
     # -- norms and changes ----------------------------------------------------
 
@@ -303,22 +306,22 @@ class Workspace:
         return r.x, r.iterations
 
     def _solve_sigma(self, sigma_load, u, x0):
-        """The sigma-equation of useps/us0 from the step's stacked mass load
-        ``sigma_load`` = (M sigma_prev)/k, solved on the free DOFs."""
+        """The sigma-equation of useps/us0 from the step's mass load
+        ``sigma_load`` = (M sigma_prev)/k: one scalar solve per component,
+        on the nodes where the clamp leaves it free."""
         cfg, mesh = self.cfg, self.mesh
         p = cfg.p
         if cfg.scheme == "useps":
             coef, h = p, self.pot.f_prime(u)
         else:
             coef, h = p / (p - 1.0), np.power(_pos(u), p - 1.0)
-        load = coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
-        rhs = sigma_load + load
-        free = self.sigma_free
-        x0_free = fem.stack_vec(x0)[free]
-        r = linsolve.solve_spd(self.sigma_solver, rhs[free], cfg.linear_tol, x0=x0_free)
-        full = np.zeros(2 * mesh.n_nodes)
-        full[free] = r.x
-        return fem.unstack_vec(full), r.iterations
+        rhs = sigma_load + coef * fem.mixed_vector_load(mesh, u, fem.grad_p1(mesh, h))
+        sigma, iters = np.zeros((mesh.n_nodes, 2)), 0
+        for c, (free, solver) in enumerate(self.sigma_solvers):
+            r = linsolve.solve_spd(solver, rhs[free, c], cfg.linear_tol, x0=x0[free, c])
+            sigma[free, c] = r.x
+            iters = max(iters, r.iterations)
+        return sigma, iters
 
     # -- stepping -----------------------------------------------------------------
 
@@ -353,7 +356,7 @@ class Workspace:
         wl = state.sigma if vec else state.v
         # the mass terms of both right-hand sides are fixed by the step's start
         u_load = (mesh.M @ state.u) / k if cfg.scheme == "uv" else mesh.D * state.u / k
-        w_load = fem.vec_product(mesh.M, wl) / k if vec else (mesh.M @ wl) / k
+        w_load = (mesh.M @ wl) / k
         max_solver = 0
         change = np.inf
         omega = 1.0

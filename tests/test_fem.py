@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import sympy
 
@@ -131,7 +132,8 @@ def test_op_Ah_spd_and_decomposition(small_mesh):
 
 
 def test_sigma_fixed_mask(small_mesh):
-    mask = fem.unstack_vec(fem.sigma_fixed_mask(small_mesh).astype(float)).astype(bool)
+    mask = fem.sigma_fixed_mask(small_mesh)
+    assert mask.shape == (small_mesh.n_nodes, 2) and mask.dtype == bool
     x, y = small_mesh.nodes[:, 0], small_mesh.nodes[:, 1]
     on_v = (x == 0) | (x == small_mesh.lx)
     on_h = (y == 0) | (y == small_mesh.ly)
@@ -230,7 +232,7 @@ def test_project_Qh_vec(small_mesh):
     # normal components on the boundary
     w = np.tile([1.0, 0.0], (small_mesh.n_elements, 1))
     q = fem.project_Qh_vec(small_mesh, w)
-    fixed = fem.unstack_vec(fem.sigma_fixed_mask(small_mesh))
+    fixed = fem.sigma_fixed_mask(small_mesh)
     assert q[~fixed[:, 0], 0] == pytest.approx(1.0, rel=1e-11)
     assert np.all(q[fixed] == 0.0)
     # dense oracle for the unconstrained component solves
@@ -328,7 +330,7 @@ def test_mixed_vector_load_against_sympy(unit_mesh):
     u = rng.normal(size=unit_mesh.n_nodes)
     g = rng.normal(size=(unit_mesh.n_elements, 2))
     load = fem.mixed_vector_load(unit_mesh, u, g)
-    oracle = np.zeros(2 * unit_mesh.n_nodes)
+    oracle = np.zeros((unit_mesh.n_nodes, 2))
     for e in range(unit_mesh.n_elements):
         idx = unit_mesh.elements[e]
 
@@ -337,8 +339,7 @@ def test_mixed_vector_load_against_sympy(unit_mesh):
             return sympy.Matrix(3, 1, lambda i, _: ufield * phi[i])
 
         base = sympy_local_integrals(unit_mesh, e, integrand).ravel()
-        oracle[idx] += g[e, 0] * base
-        oracle[idx + unit_mesh.n_nodes] += g[e, 1] * base
+        oracle[idx] += np.outer(base, g[e])
     assert load == pytest.approx(oracle, abs=1e-13)
 
 
@@ -445,9 +446,9 @@ def test_loads_match_add_at_reference():
     np.add.at(ref, m.elements, grad_local)
     assert np.array_equal(fem.gradient_load(m, w), ref)
 
-    ref = np.zeros(2 * m.n_nodes)
-    np.add.at(ref, m.elements, w[:, 0:1] * mass_local)
-    np.add.at(ref, m.elements + m.n_nodes, w[:, 1:2] * mass_local)
+    ref = np.zeros((m.n_nodes, 2))
+    for c in range(2):
+        np.add.at(ref[:, c], m.elements, w[:, c : c + 1] * mass_local)
     assert np.array_equal(fem.mixed_vector_load(m, u, w), ref)
 
 
@@ -473,7 +474,7 @@ def test_shape_kernels_match_per_element_products(nx, ny, lx, ly):
 
     def mixed(u, w):
         mu = np.einsum("eij,ej->ei", mass, u[el])
-        return np.concatenate([fem._scatter_vector(m, w[:, k : k + 1] * mu) for k in range(2)])
+        return np.column_stack([fem._scatter_vector(m, w[:, k : k + 1] * mu) for k in range(2)])
 
     def check(got, want, scale):
         assert got.shape == want.shape
@@ -547,7 +548,8 @@ def boundary_couplings(mesh):
 def test_sigma_operator_is_A_v_twice_on_the_free_dofs(m):
     cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3)
     orc = DenseOracle(m, cfg)
-    free = np.flatnonzero(~fem.sigma_fixed_mask(m))
+    # the oracle stacks the x-components before the y-components
+    free = np.flatnonzero(~fem.sigma_fixed_mask(m).T.ravel())
     assert np.array_equal(free, orc.sigma_free)
     # the rot/div cross block holds exactly the boundary couplings, each +-1/2
     scale = np.abs(orc.B).max()
@@ -556,12 +558,15 @@ def test_sigma_operator_is_A_v_twice_on_the_free_dofs(m):
     assert set(zip(*np.nonzero(np.abs(cross) > 1e-15 * scale))) == set(want)
     assert all(abs(cross[ij] - v) <= 1e-14 for ij, v in want.items())
     assert len(want) == 4 * (m.nx + m.ny)
-    # each of them meets a clamped DOF, so the free block is diag(A, A)
+    # each of them meets a clamped DOF, so the free block is diag(A, A),
+    # and each component's solver holds its half
     assume(free.size > 0)  # 1x1: every component is clamped
     ix = np.ix_(free, free)
     ref = (orc.M2 / cfg.dt + orc.B)[ix]
     ws = Workspace(m, cfg)
-    a_sig = ws.A_sig_red.toarray()
+    (free_x, x), (free_y, y) = ws.sigma_solvers
+    assert np.array_equal(np.concatenate([free_x, free_y + m.n_nodes]), free)
+    a_sig = scipy.linalg.block_diag(x.A.toarray(), y.A.toarray())
     assert np.abs(a_sig - ref).max() <= 1e-15 * np.abs(ref).max()
     a = m.A
     blocks = sp.block_diag([a, a]).toarray()[ix]
@@ -577,31 +582,32 @@ def test_op_Bh_constant_and_linear_fields(small_mesh):
     b = _oracle_Bh(small_mesh)
     n = small_mesh.n_nodes
     # constants have zero rot and div: quadratic form is the L2 norm
-    c = fem.stack_vec(np.tile([1.0, -2.0], (n, 1)))
+    c = np.tile([1.0, -2.0], (n, 1)).T.ravel()  # the oracle's stacked layout
     assert c @ (b @ c) == pytest.approx(5.0 * 4.0, rel=1e-13)
     # sigma = (y, 0): rot = -1, div = 0, so form = |Omega| + int y^2
     sig = np.zeros((n, 2))
     sig[:, 0] = small_mesh.nodes[:, 1]
-    x = fem.stack_vec(sig)
+    x = sig.T.ravel()
     assert x @ (b @ x) == pytest.approx(4.0 + 16.0 / 3.0, rel=1e-13)
 
 
 def test_op_Bh_spd_on_constrained_space(small_mesh):
     b = _oracle_Bh(small_mesh)
-    free = np.flatnonzero(~fem.sigma_fixed_mask(small_mesh))
+    free = np.flatnonzero(~fem.sigma_fixed_mask(small_mesh).T.ravel())
     bred = b[np.ix_(free, free)]
     assert bred == pytest.approx(bred.T, abs=1e-13)
     assert np.linalg.eigvalsh(bred).min() > 0
 
 
-def test_vec_product_is_the_block_diagonal_product():
+def test_form_of_a_vector_field_is_the_block_diagonal_form():
     m = build_rect_mesh(7, 5, 2.0, 3.0)
     w = np.random.default_rng(53).normal(size=(m.n_nodes, 2))
-    x = fem.stack_vec(w)
+    x = w.T.ravel()  # the x-components, then the y-components
     for op in (m.M, m.A):
         ref = sp.block_diag([op, op], format="csr") @ x
-        assert np.array_equal(fem.vec_product(op, w), ref)
-        # the quadratic form of a (N,2) field is the block-diagonal one
+        # the per-component product is the block-diagonal one, bit for bit,
+        # and so is the quadratic form of a (N,2) field
+        assert np.array_equal((op @ w).T.ravel(), ref)
         assert fem.form(op, w) == x @ ref
     assert fem.l2_norm(m, w) == np.sqrt(x @ (sp.block_diag([m.M, m.M], format="csr") @ x))
 

@@ -26,10 +26,13 @@ def test_dump_compares_bitwise_with_itself_and_reports_a_gap(tmp_path, capsys):
     *lines, summary = capsys.readouterr().out.splitlines()
     n = 3 * 4 * len(legs.SEEDS)
     assert len(lines) == n
-    assert summary == f"{n} legs: counts equal on {n}, every field bitwise on {n}"
+    assert summary == (
+        f"{n} legs: counts equal on {n} (Picard on {n}), solves equal on {n}, "
+        f"every field bitwise on {n}"
+    )
     for line in lines:
-        assert "counts equal" in line
-        fields = line.split("  ")[2:]
+        assert "  counts equal  solves equal  " in line
+        fields = line.split("  ")[3:]
         assert fields and all(f.endswith(" bitwise") for f in fields), line
 
     key = "coarse-tight:useps:1"
@@ -38,12 +41,21 @@ def test_dump_compares_bitwise_with_itself_and_reports_a_gap(tmp_path, capsys):
     b = {**a, f"{key}:u": a[f"{key}:u"] * (1.0 + 1e-9)}
     assert legs.compare(a, b) == 0
     line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(key + " "))
-    assert "counts equal" in line and "  u 1.00e-09  v bitwise" in line
-    for name in legs.COUNTS:
-        # a changed Picard or per-step solver count, or one solve's count
+    assert "counts equal  solves equal" in line and "  u 1.00e-09  v bitwise" in line
+    # a changed Picard count, per-step solver count or one solve's count:
+    # each fails the comparison, and the two verdicts say which moved
+    cases = [
+        ("counts", (-1, 0), "counts DIFFER  solves equal", (n - 1, n - 1, n)),
+        ("counts", (-1, 1), "counts Picard equal  solves equal", (n - 1, n, n)),
+        ("solves", -1, "counts equal  solves DIFFER", (n, n, n - 1)),
+    ]
+    for name, where, verdicts, (equal, picard, solves) in cases:
         changed = a[f"{key}:{name}"].copy()
-        changed[-1] += 1
+        changed[where] += 1
         assert legs.compare(a, {**a, f"{key}:{name}": changed}) == 1
         out = capsys.readouterr().out
-        assert f"{key}  counts DIFFER" in out
-        assert out.endswith(f"{n} legs: counts equal on {n - 1}, every field bitwise on {n}\n")
+        assert f"{key}  {verdicts}  u0 bitwise" in out
+        assert out.endswith(
+            f"{n} legs: counts equal on {equal} (Picard on {picard}), solves equal on {solves}, "
+            f"every field bitwise on {n}\n"
+        )

@@ -220,7 +220,9 @@ def _workspace_systems():
     state = init_state(mesh, us.cfg, ic.u0, ic.v0, ic.grad_v0)
     conv_e = fem.convection_u(mesh, fem.grad_p1(mesh, state.v), kind="element")
     conv_n = fem.convection_u(mesh, 50.0 * state.sigma, kind="nodal")
-    spd = {"A_v": uv.A_v, "A_u": uv.A_u, "A_u_lumped": us.A_u, "A_sig_red": us.A_sig_red}
+    (_, sig_x), (_, sig_y) = us.sigma_solvers
+    spd = {"A_v": uv.A_v, "A_u": uv.A_u, "A_u_lumped": us.A_u}
+    spd.update(A_sig_x=sig_x.A, A_sig_y=sig_y.A)
     general = {"uv_u": uv.A_u + conv_e, "useps_u": us.A_u + conv_n}
     return spd, general
 
@@ -452,7 +454,7 @@ def test_small_workspace_operators_are_solved_directly(monkeypatch):
     mesh = build_rect_mesh(6, 6, 2.0, 2.0)
     uveps = Workspace(mesh, SchemeConfig("uveps", 1.5, 1e-2, eps=1e-3))
     useps = Workspace(mesh, SchemeConfig("useps", 1.5, 1e-2, eps=1e-3))
-    solvers = (uveps.u_solver, uveps.v_solver, useps.sigma_solver)
+    solvers = (uveps.u_solver, uveps.v_solver, *(solver for _, solver in useps.sigma_solvers))
     assert built == []  # set-up builds no factor
     for k, solver in enumerate(solvers):
         assert solver.direct and solver.lu is None
@@ -474,7 +476,7 @@ def test_direct_result_missing_the_contract_is_polished_by_cg(monkeypatch):
         return _Factor(lambda b: lu.solve(b) * (1.0 + 1e-6 * np.cos(np.arange(b.size))))
 
     monkeypatch.setattr(spla, "splu", perturbed)
-    for name in ("A_v", "A_sig_red"):
+    for name in ("A_v", "A_sig_x"):
         A = SPD[name]
         solver = linsolve.SPDSolver(A)
         b, x0 = _rhs_and_start(A, True, seed=11)
@@ -519,14 +521,16 @@ def _bare(ws):
     """``ws`` with each SPDSolver replaced by its bare matrix: every SPD
     solve then takes the matrix path of solve_spd, which builds the Jacobi
     vector per call."""
-    for attr in ("u_solver", "v_solver", "sigma_solver"):
+    for attr in ("u_solver", "v_solver"):
         if hasattr(ws, attr):
             setattr(ws, attr, getattr(ws, attr).A)
+    if hasattr(ws, "sigma_solvers"):
+        ws.sigma_solvers = [(free, solver.A) for free, solver in ws.sigma_solvers]
     return ws
 
 
 def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
-    # an operator without a preconditioner of its own (A_v, A_sig_red, and
+    # an operator without a preconditioner of its own (A_v, the sigma halves and
     # every SPD operator of useps) keeps Jacobi-CG above the bound, bit for
     # bit the bare matrix's; the initial state comes first: the H1
     # projection in it factors
@@ -534,7 +538,8 @@ def test_operator_above_the_bound_stays_on_jacobi_cg(monkeypatch):
     ic = get_preset("gauss")
     cfg = SchemeConfig("useps", 1.5, 1e-2, eps=1e-3, picard_tol=1e-10)
     state = init_state(mesh, cfg, ic.u0, ic.v0, ic.grad_v0)
-    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 48)  # the 6x6 mesh has 49 nodes
+    # the 6x6 mesh has 49 nodes, 35 free in each sigma component
+    monkeypatch.setattr(linsolve, "_DIRECT_MAX_N", 34)
     monkeypatch.setattr(spla, "splu", failing_splu)
     for name in sorted(SPD):
         A = SPD[name]
@@ -598,8 +603,30 @@ def test_jacobi_runs_once_per_operator(direct, monkeypatch):
     ws = Workspace(mesh, cfg)
     reports = [rep for _, _, rep in ws.march(state, 5)]
     assert sum(rep.iterations for rep in reports) >= 10
-    # A_v and A_sig_red, each once
-    assert calls == [ws.A_v.shape, ws.A_sig_red.shape]
+    # A_v and each sigma half, once each
+    assert calls == [ws.A_v.shape] + [solver.A.shape for _, solver in ws.sigma_solvers]
+
+
+def test_each_sigma_component_meets_its_own_contract():
+    # above the direct bound (59 x 61 = 3599 unknowns per component), with a
+    # y-load 1e-8 of the x-load and a start far from both solutions: a
+    # bound on the two components' joint residual, as one stacked CG solve
+    # had, left the y-residual at 2e-5 of its load
+    mesh = build_rect_mesh(60, 60, 2.0, 2.0)
+    cfg = SchemeConfig("useps", 1.5, 1e-4, eps=1e-3)
+    ws = Workspace(mesh, cfg)
+    assert not any(solver.direct for _, solver in ws.sigma_solvers)
+    rng = np.random.default_rng(5)
+    b, x0 = rng.normal(size=(2, mesh.n_nodes, 2))
+    b[:, 1] *= 1e-8
+    # a constant u gives no chemotaxis load, so b is the right-hand side
+    sigma, _ = ws._solve_sigma(b, np.ones(mesh.n_nodes), x0)
+    fixed = fem.sigma_fixed_mask(mesh)
+    assert np.all(sigma[fixed] == 0.0)
+    for c in range(2):
+        free = np.flatnonzero(~fixed[:, c])
+        r = b[free, c] - ws.A_v[free][:, free] @ sigma[free, c]
+        assert np.linalg.norm(r) <= cfg.linear_tol * np.linalg.norm(b[free, c])
 
 
 # -- the u-matrix of uv/useps/us0 in its fixed order ---------------------------

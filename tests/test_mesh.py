@@ -121,7 +121,7 @@ def test_mesh_geometry_properties(m):
     # the vertical sides and y-components on the horizontal ones
     x, y = m.nodes[:, 0], m.nodes[:, 1]
     on_v, on_h = (x == 0) | (x == m.lx), (y == 0) | (y == m.ly)
-    assert np.array_equal(fem.sigma_fixed_mask(m), np.concatenate([on_v, on_h]))
+    assert np.array_equal(fem.sigma_fixed_mask(m), np.column_stack([on_v, on_h]))
 
 
 @settings(max_examples=50, deadline=None)
